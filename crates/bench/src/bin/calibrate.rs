@@ -3,6 +3,7 @@ use scu_algos::{run, Algorithm, Mode, SystemKind};
 use scu_graph::Dataset;
 
 fn main() {
+    scu_bench::reject_args();
     let scale: f64 = std::env::var("SCU_SCALE")
         .ok()
         .and_then(|s| s.parse().ok())

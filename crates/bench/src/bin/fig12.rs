@@ -4,6 +4,7 @@ use scu_bench::experiments::{fig12, matrix::Matrix};
 use scu_bench::ExperimentConfig;
 
 fn main() {
+    scu_bench::reject_args();
     let cfg = ExperimentConfig::from_env();
     let m = Matrix::collect(&cfg, &[Mode::ScuFilteringOnly, Mode::ScuEnhanced]);
     print!("{}", fig12::render(&fig12::rows(&m)));

@@ -19,3 +19,18 @@ pub mod experiments;
 pub mod table;
 
 pub use config::ExperimentConfig;
+
+/// Exits with code 2 and a one-line error when the process was given
+/// any command-line arguments — for the figure and report binaries,
+/// which take none (they are configured through `SCU_SCALE`,
+/// `SCU_SEED` and `SCU_PR_ITERS`).
+pub fn reject_args() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if !args.is_empty() {
+        eprintln!(
+            "unexpected arguments: {args:?} (this binary takes none; configure it with \
+             SCU_SCALE, SCU_SEED and SCU_PR_ITERS)"
+        );
+        std::process::exit(2);
+    }
+}

@@ -64,8 +64,23 @@ fn run_one_rejects_bad_flag_values() {
         &["--jobs", "zero"],
         "--jobs expects a positive integer",
     );
-    assert_rejects(bin, &["--sim-threads", "0"], "--sim-threads expects");
     assert_rejects(bin, &["--timeout-secs", "-1"], "--timeout-secs expects");
+}
+
+#[test]
+fn run_one_rejects_arguments_past_the_cell() {
+    let bin = env!("CARGO_BIN_EXE_run_one");
+    assert_rejects(
+        bin,
+        &["BFS", "kron", "TX1", "gpu", "--bogus-flag"],
+        "unexpected arguments",
+    );
+    assert_rejects(
+        bin,
+        &["BFS", "kron", "TX1", "gpu", "extra"],
+        "unexpected arguments",
+    );
+    assert_rejects(bin, &["--bogus-flag", "2"], "unexpected arguments");
 }
 
 #[test]
@@ -90,5 +105,25 @@ fn sweep_binaries_reject_filters_matching_nothing() {
             &["--filter", "no-such-cell"],
             "--filter 'no-such-cell' matches none",
         );
+    }
+}
+
+#[test]
+fn report_binaries_take_no_arguments() {
+    for bin in [
+        env!("CARGO_BIN_EXE_ablation"),
+        env!("CARGO_BIN_EXE_area_report"),
+        env!("CARGO_BIN_EXE_calibrate"),
+        env!("CARGO_BIN_EXE_fig01"),
+        env!("CARGO_BIN_EXE_fig09"),
+        env!("CARGO_BIN_EXE_fig10"),
+        env!("CARGO_BIN_EXE_fig11"),
+        env!("CARGO_BIN_EXE_fig12"),
+        env!("CARGO_BIN_EXE_fig13"),
+        env!("CARGO_BIN_EXE_filtering_report"),
+        env!("CARGO_BIN_EXE_tables"),
+        env!("CARGO_BIN_EXE_workload"),
+    ] {
+        assert_rejects(bin, &["--no-cache"], "unexpected arguments");
     }
 }

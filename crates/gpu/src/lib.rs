@@ -45,10 +45,7 @@
 pub mod config;
 pub mod engine;
 pub mod kernel;
-pub(crate) mod lanes;
 pub mod stats;
-pub mod threads;
-pub mod trace_cache;
 
 pub use config::GpuConfig;
 pub use engine::GpuEngine;
@@ -56,8 +53,3 @@ pub use kernel::ThreadCtx;
 pub use scu_mem::buffer;
 pub use scu_mem::buffer::{DeviceAllocator, DeviceArray};
 pub use stats::{KernelStats, TimeBounds};
-pub use threads::{
-    available_parallelism, parallelism_degraded, phase_profile, reset_phase_profile, PhaseProfile,
-    SimThreads,
-};
-pub use trace_cache::{TraceCacheStats, TraceStore};

@@ -33,7 +33,7 @@
 //! views are zero-copy casts (misaligned or big-endian hosts degrade
 //! to a heap decode with identical contents — see `csr::Words`).
 //!
-//! ## Discipline (mirrors the PR-8 store / PR-9 trace cache)
+//! ## Discipline (mirrors the result store)
 //!
 //! - publish is atomic: temp file + rename, so readers see an old
 //!   artifact or a complete new one, never a torn write;
@@ -45,7 +45,7 @@
 //!   exact arrays the in-memory build would produce, so result bytes
 //!   cannot depend on whether the store is enabled.
 //!
-//! Like the trace cache, the store is an install slot: library code
+//! The store is an install slot: library code
 //! never touches the filesystem unless a binary mounts a store
 //! ([`install`]), and the fault-injection seam is a function-pointer
 //! hook ([`install_io_hook`]) the harness layer fills in, because the

@@ -128,6 +128,15 @@ impl ResultCache {
         }
     }
 
+    /// [`ResultCache::load`] as the value's canonical JSON text (see
+    /// [`ResultStore::get_text`]), for callers that only pass it on.
+    pub fn load_text(&self, key: &Value) -> Option<String> {
+        match self.backend.get_text(key) {
+            GetResult::Hit(text) => Some(text),
+            GetResult::Miss | GetResult::Corrupt => None,
+        }
+    }
+
     /// Stores `value` under `key`, atomically.
     ///
     /// # Errors
@@ -178,6 +187,7 @@ mod tests {
 
     #[test]
     fn round_trips_and_counts() {
+        let _sites = crate::failpoint::serial_store_sites();
         let dir = scratch_dir("round-trip");
         let cache = ResultCache::open(&dir).unwrap();
         assert_eq!(cache.load(&key(1)), None);
@@ -198,6 +208,7 @@ mod tests {
 
     #[test]
     fn survives_reopen() {
+        let _sites = crate::failpoint::serial_store_sites();
         let dir = scratch_dir("reopen");
         ResultCache::open(&dir)
             .unwrap()
@@ -210,6 +221,7 @@ mod tests {
 
     #[test]
     fn fresh_directories_use_the_lsm_backend() {
+        let _sites = crate::failpoint::serial_store_sites();
         let dir = scratch_dir("lsm-default");
         let cache = ResultCache::open(&dir).unwrap();
         assert_eq!(cache.store_stats().backend, "lsm");
@@ -219,6 +231,7 @@ mod tests {
 
     #[test]
     fn legacy_blob_directories_are_detected() {
+        let _sites = crate::failpoint::serial_store_sites();
         let dir = scratch_dir("legacy-detect");
         ResultCache::open_legacy(&dir)
             .unwrap()
@@ -232,6 +245,7 @@ mod tests {
 
     #[test]
     fn key_mismatch_is_quarantined() {
+        let _sites = crate::failpoint::serial_store_sites();
         let dir = scratch_dir("mismatch");
         let cache = ResultCache::open_legacy(&dir).unwrap();
         cache.store(&key(1), &Value::U64(1)).unwrap();
@@ -254,6 +268,7 @@ mod tests {
 
     #[test]
     fn truncated_entry_is_quarantined_and_reads_as_miss() {
+        let _sites = crate::failpoint::serial_store_sites();
         let dir = scratch_dir("truncated");
         let cache = ResultCache::open_legacy(&dir).unwrap();
         cache.store(&key(2), &Value::U64(2)).unwrap();
@@ -268,6 +283,7 @@ mod tests {
 
     #[test]
     fn value_byte_flip_is_quarantined_not_served() {
+        let _sites = crate::failpoint::serial_store_sites();
         let dir = scratch_dir("byte-flip");
         let cache = ResultCache::open_legacy(&dir).unwrap();
         cache.store(&key(3), &Value::U64(31337)).unwrap();
@@ -285,6 +301,7 @@ mod tests {
 
     #[test]
     fn missing_value_digest_is_rejected() {
+        let _sites = crate::failpoint::serial_store_sites();
         // Entries written by the pre-digest format must not be served.
         let dir = scratch_dir("old-format");
         let cache = ResultCache::open_legacy(&dir).unwrap();
@@ -297,6 +314,7 @@ mod tests {
 
     #[test]
     fn quarantine_retention_is_bounded() {
+        let _sites = crate::failpoint::serial_store_sites();
         let dir = scratch_dir("q-cap");
         let cache = ResultCache::open_legacy(&dir).unwrap();
         // Corrupt far more entries than the cap retains.
@@ -319,6 +337,7 @@ mod tests {
 
     #[test]
     fn injected_load_fault_degrades_to_miss() {
+        let _sites = crate::failpoint::serial_store_sites();
         let dir = scratch_dir("fp-load");
         let cache = ResultCache::open_legacy(&dir).unwrap();
         cache.store(&key(5), &Value::U64(5)).unwrap();
@@ -335,6 +354,7 @@ mod tests {
 
     #[test]
     fn injected_load_fault_on_lsm_misses_without_quarantine() {
+        let _sites = crate::failpoint::serial_store_sites();
         let dir = scratch_dir("fp-load-lsm");
         let cache = ResultCache::open(&dir).unwrap();
         assert_eq!(cache.store_stats().backend, "lsm");
@@ -350,6 +370,7 @@ mod tests {
 
     #[test]
     fn injected_store_fault_is_typed_and_skips_write() {
+        let _sites = crate::failpoint::serial_store_sites();
         for cache in [
             ResultCache::open_legacy(scratch_dir("fp-store-legacy")).unwrap(),
             ResultCache::open(scratch_dir("fp-store-lsm")).unwrap(),

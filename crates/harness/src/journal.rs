@@ -221,6 +221,7 @@ mod tests {
 
     #[test]
     fn append_then_load_round_trips() {
+        let _sites = crate::failpoint::serial_store_sites();
         let path = scratch("round-trip");
         let j = Journal::open(&path, true).unwrap();
         j.append(&entry(1)).unwrap();
@@ -237,6 +238,7 @@ mod tests {
 
     #[test]
     fn truncated_tail_yields_intact_prefix() {
+        let _sites = crate::failpoint::serial_store_sites();
         let path = scratch("torn");
         let j = Journal::open(&path, true).unwrap();
         j.append(&entry(1)).unwrap();
@@ -251,6 +253,7 @@ mod tests {
 
     #[test]
     fn garbage_middle_discards_everything_after_it() {
+        let _sites = crate::failpoint::serial_store_sites();
         // The warning counts every discarded trailing line, not just
         // the malformed one — entries past the damage are unreachable.
         let path = scratch("garbage-middle");
@@ -273,6 +276,7 @@ mod tests {
 
     #[test]
     fn store_backed_journal_appends_into_the_wal() {
+        let _sites = crate::failpoint::serial_store_sites();
         let dir = std::env::temp_dir().join(format!("scu-journal-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let backend: Arc<dyn ResultStore> = Arc::new(scu_store::LsmStore::open(&dir).unwrap());
@@ -294,6 +298,7 @@ mod tests {
 
     #[test]
     fn reopen_without_truncate_appends() {
+        let _sites = crate::failpoint::serial_store_sites();
         let path = scratch("reopen");
         Journal::open(&path, true)
             .unwrap()
@@ -314,6 +319,7 @@ mod tests {
 
     #[test]
     fn digests_round_trip_and_pre_digest_journals_load() {
+        let _sites = crate::failpoint::serial_store_sites();
         let path = scratch("digest");
         let j = Journal::open(&path, true).unwrap();
         j.append(&entry(3)).unwrap();
@@ -343,6 +349,7 @@ mod tests {
 
     #[test]
     fn uncacheable_jobs_resume_by_id() {
+        let _sites = crate::failpoint::serial_store_sites();
         let e = JournalEntry {
             key: None,
             id: "plain".into(),
@@ -359,6 +366,7 @@ mod tests {
 
     #[test]
     fn injected_io_error_surfaces_typed() {
+        let _sites = crate::failpoint::serial_store_sites();
         let _fp = crate::failpoint::scoped("journal-append=io-error");
         let path = scratch("io-fault");
         let j = Journal::open(&path, true).unwrap();

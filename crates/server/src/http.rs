@@ -205,18 +205,32 @@ pub fn respond_json_with(
     body: &Value,
 ) -> std::io::Result<()> {
     let text = serde_json::to_string(body).expect("serialising a Value cannot fail");
-    let mut head = format!(
+    respond_json_text(stream, status, extra_headers, &text)
+}
+
+/// Writes a complete fixed-length response around an already
+/// serialised JSON body: head and body go out in one `write_all`, so
+/// the client sees a single segment instead of one per piece.
+pub fn respond_json_text(
+    stream: &mut TcpStream,
+    status: u16,
+    extra_headers: &[(&str, &str)],
+    text: &str,
+) -> std::io::Result<()> {
+    let mut out = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
         status_text(status),
         text.len(),
     );
     for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        out.push_str(name);
+        out.push_str(": ");
+        out.push_str(value);
+        out.push_str("\r\n");
     }
-    write!(stream, "{head}\r\n{text}")?;
+    out.push_str("\r\n");
+    out.push_str(text);
+    stream.write_all(out.as_bytes())?;
     stream.flush()
 }
 

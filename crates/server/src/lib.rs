@@ -12,8 +12,8 @@
 //!   the on-disk cache, **coalesces identical in-flight cells across
 //!   clients** (N clients with overlapping matrices compute each
 //!   unique cell exactly once), batches cold cells through one shared
-//!   [`scu_harness::Harness`] (inheriting retries, fault isolation,
-//!   journaling, and the jobs × sim-threads core clamp), and streams
+//!   [`scu_harness::Harness`] (inheriting retries, fault isolation
+//!   and journaling), and streams
 //!   per-cell completions to every waiting sweep.
 //! - [`server`] — a hand-rolled HTTP/1.1 front end over
 //!   [`std::net::TcpListener`] (the offline build has no hyper):

@@ -15,7 +15,7 @@
 //! 3. **Batched execution** — a single dispatcher thread drains the
 //!    pending set into one [`JobGraph`] and runs it through one shared
 //!    [`Harness`], inheriting its result cache, journal-backed resume,
-//!    retries, fault isolation, and the jobs × sim-threads core clamp.
+//!    retries and fault isolation.
 //!
 //! Completions stream to every waiting sweep through the harness's
 //! progress-observer hook; a panicking cell fails only the sweeps that
@@ -33,10 +33,10 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use scu_algos::cell::Cell;
 use scu_algos::experiment::{plan_cells, ExperimentConfig, ALL_MODES};
@@ -50,11 +50,8 @@ pub struct SchedulerConfig {
     /// The experiment knobs (scale, seed, datasets, algorithms) — the
     /// served matrix is exactly this configuration's 240-cell plan.
     pub experiment: ExperimentConfig,
-    /// Worker threads per batch (the harness clamps jobs ×
-    /// sim-threads to the machine).
+    /// Worker threads per batch.
     pub jobs: usize,
-    /// Per-cell simulator timing lanes, declared to the clamp.
-    pub sim_threads: usize,
     /// Retries for failed cells.
     pub retries: u32,
     /// On-disk result cache; `None` disables dedup-by-cache.
@@ -82,7 +79,6 @@ impl SchedulerConfig {
         SchedulerConfig {
             experiment: ExperimentConfig::from_env(),
             jobs: args.jobs.max(1),
-            sim_threads: args.sim_threads.max(1),
             retries: args.retries,
             cache_dir: (!args.no_cache)
                 .then(|| PathBuf::from(scu_harness::session::DEFAULT_CACHE_DIR)),
@@ -867,11 +863,30 @@ impl Scheduler {
         }
         let observer_slots = Arc::clone(&slots);
         let scheduler = Arc::clone(&self);
+        let started = Instant::now();
+        // The batch's fresh compute time (as the sweep summary counts
+        // it) and completions seen so far, and whether it is booked.
+        let fresh_ns = AtomicU64::new(0);
+        let seen = AtomicUsize::new(0);
+        let booked = Arc::new(AtomicBool::new(false));
+        let observer_booked = Arc::clone(&booked);
         let observer = std::sync::Arc::new(move |event: &ProgressEvent| {
             let pace = Pace {
                 cells_per_sec: event.cells_per_sec,
                 eta_ns: event.eta.map(|d| d.as_nanos() as u64),
             };
+            if !event.cached {
+                fresh_ns.fetch_add(event.duration.as_nanos() as u64, Ordering::SeqCst);
+            }
+            if seen.fetch_add(1, Ordering::SeqCst) + 1 == event.total {
+                // Every completion is counted: book the batch before
+                // resolving this cell, whose sweep may close on it.
+                scheduler.book_batch(
+                    &observer_booked,
+                    fresh_ns.load(Ordering::SeqCst),
+                    started.elapsed(),
+                );
+            }
             if event.label == "FAILED" {
                 let error = event.error.clone().unwrap_or_else(|| "failed".to_string());
                 scheduler.resolve_cell(&event.id, CellOutcome::Failed(error), Some(pace));
@@ -891,7 +906,6 @@ impl Scheduler {
         });
         let mut harness = Harness::new()
             .jobs(self.cfg.jobs)
-            .threads_per_job(self.cfg.sim_threads)
             .retries(self.cfg.retries)
             .observer(observer)
             .cancel_flag(batch_cancel);
@@ -914,6 +928,23 @@ impl Scheduler {
             harness = harness.manifest(manifest.clone()).resume(true);
         }
         let sweep = harness.run(&graph);
+        // A drained batch never reports its last completion; book it
+        // before the post-run pass resolves what is left.
+        self.book_batch(
+            &booked,
+            sweep.summary.cell_time.as_nanos() as u64,
+            sweep.summary.wall,
+        );
+        {
+            let mut inner = lock_unpoisoned(&self.inner, "scheduler");
+            inner.counters.leaked_threads += sweep.summary.leaked_threads as u64;
+            inner.counters.retried_cells += sweep.summary.retried.len() as u64;
+            inner.counters.retry_attempts += sweep
+                .outcomes
+                .iter()
+                .map(|o| o.retries().len() as u64)
+                .sum::<u64>();
+        }
         for (cell_id, outcome) in batch.iter().zip(&sweep.outcomes) {
             let resolved = match outcome {
                 Outcome::Done {
@@ -934,31 +965,40 @@ impl Scheduler {
             // Usually a no-op: the observer already resolved it live.
             self.resolve_cell(cell_id, resolved, None);
         }
+    }
+
+    /// Counts a finished batch's compute time and wall-clock and marks
+    /// the dispatcher idle — once per batch (`booked`), and before the
+    /// batch's last cell resolves, so a client reading `/metrics` or
+    /// `/healthz` on its sweep's `done` event sees the batch counted
+    /// and the daemon idle.
+    fn book_batch(&self, booked: &AtomicBool, cell_time_ns: u64, wall: Duration) {
+        if booked.swap(true, Ordering::SeqCst) {
+            return;
+        }
         let mut inner = lock_unpoisoned(&self.inner, "scheduler");
-        inner.counters.cell_time_ns += sweep.summary.cell_time.as_nanos() as u64;
-        inner.counters.wall_ns += sweep.summary.wall.as_nanos() as u64;
-        inner.counters.leaked_threads += sweep.summary.leaked_threads as u64;
-        inner.counters.retried_cells += sweep.summary.retried.len() as u64;
-        inner.counters.retry_attempts += sweep
-            .outcomes
-            .iter()
-            .map(|o| o.retries().len() as u64)
-            .sum::<u64>();
+        inner.counters.cell_time_ns += cell_time_ns;
+        inner.counters.wall_ns += wall.as_nanos() as u64;
+        inner.busy = false;
     }
 
     /// Serves `GET /cells/{id}` — a pure cache read, never a
-    /// computation.
+    /// computation. The value comes back as the stored canonical JSON
+    /// text, ready to splice into the response.
     ///
     /// # Errors
     ///
     /// Unknown cell ids are errors; a known-but-uncached cell returns
     /// `Ok(None)`.
-    pub fn cached_cell(&self, cell_id: &str) -> Result<Option<Value>, String> {
+    pub fn cached_cell(&self, cell_id: &str) -> Result<Option<String>, String> {
         let cell = self
             .catalog
             .get(cell_id)
             .ok_or_else(|| format!("cell {cell_id} is not in this server's experiment matrix"))?;
-        Ok(self.cache.as_ref().and_then(|c| c.load(&cell.cache_key())))
+        Ok(self
+            .cache
+            .as_ref()
+            .and_then(|c| c.load_text(&cell.cache_key())))
     }
 
     /// A snapshot of the scheduling counters.
@@ -976,7 +1016,6 @@ impl Scheduler {
             0.0
         };
         let cache_stats = self.cache.as_ref().map(|c| c.stats()).unwrap_or_default();
-        let trace_stats = scu_algos::trace_cache::stats();
         let graph_stats = scu_algos::graph_artifact::stats();
         let store_stats = self
             .cache
@@ -1047,31 +1086,6 @@ impl Scheduler {
             (
                 "truncated_tail_bytes".to_string(),
                 Value::U64(store_stats.truncated_tail_bytes),
-            ),
-            // Functional-trace cache: engine-side session counters
-            // plus the store's trace record counters. Warm sweeps show
-            // trace_cache_hits rising while the functional phase's
-            // share of cell wall-clock collapses.
-            ("trace_cache_hits".to_string(), Value::U64(trace_stats.hits)),
-            (
-                "trace_cache_misses".to_string(),
-                Value::U64(trace_stats.misses),
-            ),
-            (
-                "trace_cache_stores".to_string(),
-                Value::U64(trace_stats.stores),
-            ),
-            (
-                "trace_cache_poisoned".to_string(),
-                Value::U64(trace_stats.poisoned),
-            ),
-            (
-                "trace_cache_bytes_replayed".to_string(),
-                Value::U64(trace_stats.bytes_replayed),
-            ),
-            (
-                "trace_records_stored".to_string(),
-                Value::U64(store_stats.trace_stores),
             ),
             // Graph artifact store: mmap'd build-once CSR files. A
             // healthy warm daemon shows hits rising and builds flat;

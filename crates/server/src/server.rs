@@ -481,14 +481,14 @@ fn route_cell(
             404,
             &format!("cell {cell_id} is not cached yet — submit a sweep to compute it"),
         ),
-        Ok(Some(value)) => http::respond_json(
-            stream,
-            200,
-            &Value::Object(vec![
-                ("cell".to_string(), Value::Str(cell_id.to_string())),
-                ("cached".to_string(), Value::Bool(true)),
-                ("value".to_string(), value),
-            ]),
-        ),
+        Ok(Some(value)) => {
+            // The stored text is canonical JSON, so splicing it into
+            // the envelope prints exactly what encoding the parsed
+            // value would: `{"cell":…,"cached":true,"value":…}`.
+            let id = serde_json::to_string(&Value::Str(cell_id.to_string()))
+                .expect("serialising a Value cannot fail");
+            let body = format!("{{\"cell\":{id},\"cached\":true,\"value\":{value}}}");
+            http::respond_json_text(stream, 200, &[], &body)
+        }
     }
 }

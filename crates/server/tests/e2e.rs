@@ -42,7 +42,6 @@ fn config(dir: &Path) -> SchedulerConfig {
     SchedulerConfig {
         experiment: ExperimentConfig::tiny(),
         jobs: 1,
-        sim_threads: 1,
         retries: 0,
         cache_dir: Some(dir.join("cache")),
         manifest: Some(dir.join("manifest.json")),
@@ -288,19 +287,6 @@ fn http_clients_share_inflight_cells_and_get_identical_bytes() {
     assert_eq!(field_u64(&metrics, "scheduled"), 6);
     assert_eq!(field_u64(&metrics, "coalesced"), 1);
     assert_eq!(field_u64(&metrics, "computed"), 6);
-    // Trace-cache counters are exported (process-global values depend
-    // on which tests ran first in this binary, so assert presence, not
-    // magnitudes — field_u64 panics on a missing key).
-    for key in [
-        "trace_cache_hits",
-        "trace_cache_misses",
-        "trace_cache_stores",
-        "trace_cache_poisoned",
-        "trace_cache_bytes_replayed",
-        "trace_records_stored",
-    ] {
-        let _ = field_u64(&metrics, key);
-    }
 
     // The overlapping cell reads back from the cache byte-identical to
     // a local simulation — the `run_one --remote` contract.
@@ -446,4 +432,112 @@ fn submissions_outside_the_matrix_or_during_shutdown_are_rejected() {
         .submit(vec![bfs_cond_tx1(&cfg)], None)
         .expect_err("submissions after shutdown are rejected");
     assert!(err.contains("shutting down"), "{err}");
+}
+
+/// `GET` over a raw socket, returning the status line and the body
+/// bytes exactly as the daemon wrote them.
+fn raw_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").expect("send request");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    let (head, body) = response.split_once("\r\n\r\n").expect("head/body split");
+    let status = head.lines().next().unwrap_or_default().to_string();
+    (status, body.to_string())
+}
+
+#[test]
+fn served_cells_are_byte_identical_to_the_value_round_trip() {
+    let _serial = lock();
+    let dir = scratch("cell-bytes");
+    let scheduler = Scheduler::new(config(&dir));
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&scheduler)).expect("bind");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let srv = std::thread::spawn(move || server.run());
+
+    // Every algorithm and mode on cond/TX1: the full spread of result
+    // shapes (SCU stats or none, phase rows, float-heavy reports).
+    let cfg = scheduler.experiment().clone();
+    let cells: Vec<Cell> = scu_algos::experiment::plan_cells(
+        &cfg,
+        &scu_algos::experiment::ALL_MODES,
+        Some("cond/TX1"),
+    );
+    assert_eq!(cells.len(), 20);
+    let sweep = scheduler.submit(cells.clone(), None).expect("submit");
+    sweep.wait_done();
+
+    for cell in &cells {
+        let id = cell.id();
+        let (status, body) = raw_get(addr, &format!("/cells/{id}"));
+        assert!(status.contains(" 200 "), "{id}: {status}");
+        // What the daemon served before it spliced stored text: the
+        // stored value parsed, wrapped, and encoded again.
+        let parsed: Value = serde_json::from_str(&body).expect("served body is JSON");
+        assert_eq!(body, text(&parsed), "{id}: served text is not canonical");
+        let expected = Value::Object(vec![
+            ("cell".to_string(), Value::Str(id.clone())),
+            ("cached".to_string(), Value::Bool(true)),
+            ("value".to_string(), value_of(&sweep, &id)),
+        ]);
+        assert_eq!(body, text(&expected), "{id}");
+    }
+
+    handle.shutdown();
+    srv.join().expect("server thread exits cleanly");
+    scheduler.shutdown();
+}
+
+#[test]
+fn metrics_read_at_done_see_the_batch_finished() {
+    let _serial = lock();
+    let dir = scratch("metrics-at-done");
+    let scheduler = Scheduler::new(config(&dir));
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&scheduler)).expect("bind");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let srv = std::thread::spawn(move || server.run());
+    let client = Client::new(&format!("http://{addr}"));
+
+    let id = client
+        .submit(&Value::Object(vec![(
+            "filter".to_string(),
+            Value::Str("SSSP/kron".to_string()),
+        )]))
+        .expect("submit");
+    let mut at_done = None;
+    client
+        .stream_events(id, |event| {
+            if event.get("type").and_then(Value::as_str) == Some("done") {
+                at_done = Some((
+                    client.metrics().expect("metrics"),
+                    client.health().expect("healthz"),
+                ));
+            }
+        })
+        .expect("event stream");
+    let (metrics, health) = at_done.expect("the stream closed with a done event");
+
+    assert_eq!(
+        metrics.get("busy"),
+        Some(&Value::Bool(false)),
+        "{metrics:?}"
+    );
+    assert_eq!(metrics.get("load").and_then(Value::as_str), Some("ok"));
+    assert_eq!(health.get("load").and_then(Value::as_str), Some("ok"));
+    assert_eq!(field_u64(&metrics, "batches"), 1);
+    let utilization = metrics
+        .get("worker_utilization")
+        .and_then(Value::as_f64)
+        .expect("worker_utilization");
+    assert!(
+        utilization > 0.0,
+        "the finished batch counts toward utilization: {metrics:?}"
+    );
+
+    handle.shutdown();
+    srv.join().expect("server thread exits cleanly");
+    scheduler.shutdown();
 }

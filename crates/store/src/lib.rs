@@ -47,11 +47,12 @@ pub use legacy::LegacyStore;
 pub use lsm::{LsmOptions, LsmStore};
 pub use record::JournalRecord;
 
-/// What a cache lookup found.
+/// What a cache lookup found: the value itself ([`ResultStore::get`])
+/// or its canonical JSON text ([`ResultStore::get_text`]).
 #[derive(Debug, Clone, PartialEq)]
-pub enum GetResult {
+pub enum GetResult<T = Value> {
     /// The stored value, verified end to end.
-    Hit(Value),
+    Hit(T),
     /// Nothing stored for this key.
     Miss,
     /// Something was stored but failed verification; it has been
@@ -59,16 +60,15 @@ pub enum GetResult {
     Corrupt,
 }
 
-/// What a trace lookup found.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceGet {
-    /// The stored trace bytes, digest-verified.
-    Hit(Vec<u8>),
-    /// Nothing stored for this semantic key.
-    Miss,
-    /// Something was stored but failed verification — the caller must
-    /// fall back to cold recording (never replay suspect bytes).
-    Corrupt,
+impl<T> GetResult<T> {
+    /// Applies `f` to a hit, keeping misses and corruption as they are.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> GetResult<U> {
+        match self {
+            GetResult::Hit(v) => GetResult::Hit(f(v)),
+            GetResult::Miss => GetResult::Miss,
+            GetResult::Corrupt => GetResult::Corrupt,
+        }
+    }
 }
 
 /// Everything a resumed sweep needs from the journal: completed values
@@ -106,13 +106,6 @@ pub struct StoreStats {
     pub recovered_records: u64,
     /// Bytes cut off a torn WAL tail at open.
     pub truncated_tail_bytes: u64,
-    /// Verified functional-trace hits (native trace path only; the
-    /// legacy envelope path counts under `hits`).
-    pub trace_hits: u64,
-    /// Trace lookups that found nothing or found corruption.
-    pub trace_misses: u64,
-    /// Functional traces stored.
-    pub trace_stores: u64,
     /// Which backend produced these numbers.
     pub backend: &'static str,
 }
@@ -152,6 +145,16 @@ pub trait ResultStore: Send + Sync + std::fmt::Debug {
     /// Looks up the value stored for `key`.
     fn get(&self, key: &Value) -> GetResult;
 
+    /// Looks up the value stored for `key` as its canonical JSON text —
+    /// exactly what `serde_json::to_string` prints for [`ResultStore::get`]'s
+    /// value — under the same verification, quarantine and counters.
+    /// The default re-encodes `get`'s value; a backend that keeps the
+    /// canonical text on disk returns it without the round trip.
+    fn get_text(&self, key: &Value) -> GetResult<String> {
+        self.get(key)
+            .map(|v| serde_json::to_string(&v).expect("serialising a Value cannot fail"))
+    }
+
     /// Stores `value` under `key`.
     ///
     /// # Errors
@@ -185,34 +188,6 @@ pub trait ResultStore: Send + Sync + std::fmt::Debug {
     /// Returns IO failures from reading the journal.
     fn resume_state(&self) -> io::Result<ResumeState>;
 
-    /// Looks up the recorded functional trace stored for a semantic
-    /// key. The default implementation round-trips through the JSON
-    /// cache (`get`) via a hex envelope, so every backend supports
-    /// traces; the LSM backend overrides it with a native binary
-    /// record kind.
-    fn get_trace(&self, key: &str) -> TraceGet {
-        match self.get(&trace_envelope_key(key)) {
-            GetResult::Hit(v) => decode_trace_envelope(&v),
-            GetResult::Miss => TraceGet::Miss,
-            GetResult::Corrupt => TraceGet::Corrupt,
-        }
-    }
-
-    /// Stores the recorded functional trace for a semantic key.
-    /// Overwrites are idempotent: traces are a pure function of the
-    /// key, so any write is as good as the first.
-    ///
-    /// # Errors
-    ///
-    /// Returns IO failures; callers degrade to not caching the trace.
-    fn put_trace(&self, key: &str, bytes: &[u8]) -> io::Result<()> {
-        let envelope = Value::Object(vec![
-            ("fnv".to_string(), Value::U64(hash::fnv64(bytes))),
-            ("hex".to_string(), Value::Str(hex_encode(bytes))),
-        ]);
-        self.put(&trace_envelope_key(key), &envelope)
-    }
-
     /// Current counters.
     fn stats(&self) -> StoreStats;
 
@@ -223,48 +198,6 @@ pub trait ResultStore: Send + Sync + std::fmt::Debug {
     ///
     /// Returns IO failures from the flush.
     fn flush(&self) -> io::Result<()>;
-}
-
-/// The JSON cache key the default (envelope) trace path files traces
-/// under — namespaced so it can never collide with a result key.
-fn trace_envelope_key(key: &str) -> Value {
-    Value::Object(vec![("trace".to_string(), Value::Str(key.to_string()))])
-}
-
-/// Verifies and unwraps an envelope written by the default
-/// [`ResultStore::put_trace`].
-fn decode_trace_envelope(v: &Value) -> TraceGet {
-    let (Some(fnv), Some(hex)) = (
-        v.get("fnv").and_then(Value::as_u64),
-        v.get("hex").and_then(Value::as_str),
-    ) else {
-        return TraceGet::Corrupt;
-    };
-    let Some(bytes) = hex_decode(hex) else {
-        return TraceGet::Corrupt;
-    };
-    if hash::fnv64(&bytes) != fnv {
-        return TraceGet::Corrupt;
-    }
-    TraceGet::Hit(bytes)
-}
-
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
-fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(s.get(i..i + 2)?, 16).ok())
-        .collect()
 }
 
 /// Opens the store at `dir`, auto-detecting the layout:
@@ -365,39 +298,26 @@ mod tests {
     }
 
     #[test]
-    fn legacy_backend_serves_traces_through_the_envelope() {
-        let dir = scratch("legacy-trace");
-        let store = LegacyStore::open(&dir).unwrap();
-        let blob: Vec<u8> = vec![0x00, 0xff, 0x42, 0x42, 0x80];
-        assert_eq!(store.get_trace("k"), TraceGet::Miss);
-        store.put_trace("k", &blob).unwrap();
-        assert_eq!(store.get_trace("k"), TraceGet::Hit(blob.clone()));
-        // A tampered envelope (fnv mismatch) must never replay.
-        store
-            .put(
-                &trace_envelope_key("bad"),
-                &Value::Object(vec![
-                    ("fnv".into(), Value::U64(1)),
-                    ("hex".into(), Value::Str(hex_encode(&blob))),
-                ]),
-            )
-            .unwrap();
-        assert_eq!(store.get_trace("bad"), TraceGet::Corrupt);
-        // And the trace key can never shadow a result key.
-        assert!(matches!(
-            store.get(&Value::Str("k".into())),
-            GetResult::Miss
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn hex_round_trips_and_rejects_garbage() {
-        let bytes: Vec<u8> = (0..=255).collect();
-        assert_eq!(hex_decode(&hex_encode(&bytes)), Some(bytes));
-        assert_eq!(hex_decode("0"), None, "odd length");
-        assert_eq!(hex_decode("zz"), None, "non-hex");
-        assert_eq!(hex_decode(""), Some(Vec::new()));
+    fn get_text_is_the_canonical_encoding_on_both_backends() {
+        let value = Value::Object(vec![
+            ("time_ns".into(), Value::F64(1.0)),
+            ("label".into(), Value::Str("BFS/kron \"q\"".into())),
+        ]);
+        let stores: [Arc<dyn ResultStore>; 2] = [
+            Arc::new(LsmStore::open(scratch("text-lsm")).unwrap()),
+            Arc::new(LegacyStore::open(scratch("text-legacy")).unwrap()),
+        ];
+        for store in stores {
+            assert_eq!(store.get_text(&key(1)), GetResult::Miss);
+            store.put(&key(1), &value).unwrap();
+            assert_eq!(
+                store.get_text(&key(1)),
+                GetResult::Hit(serde_json::to_string(&value).unwrap()),
+                "{}",
+                store.backend_name()
+            );
+            let _ = std::fs::remove_dir_all(store.dir());
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::quarantine;
 use crate::record::{JournalRecord, Record, RecordKind};
 use crate::segment::Segment;
 use crate::wal::Wal;
-use crate::{GetResult, ResultStore, ResumeState, StoreStats, TraceGet};
+use crate::{GetResult, ResultStore, ResumeState, StoreStats};
 
 /// Tuning knobs; the defaults suit sweep workloads.
 #[derive(Debug, Clone)]
@@ -75,9 +75,6 @@ struct MemRec {
     digest: Option<u64>,
     epoch: u64,
     value: Option<Vec<u8>>,
-    /// The value is a raw trace blob, not JSON — round-trips the
-    /// record kind through flush and compaction.
-    trace: bool,
 }
 
 impl MemRec {
@@ -92,18 +89,16 @@ impl MemRec {
         if rec.digest.is_some() {
             self.digest = rec.digest;
         }
-        if rec.kind == RecordKind::Put || rec.kind == RecordKind::Trace {
+        if rec.kind == RecordKind::Put {
             self.value = Some(rec.value.clone());
-            self.trace = rec.kind == RecordKind::Trace;
         }
     }
 
     fn to_record(&self) -> Record {
         Record {
-            kind: match (&self.value, self.trace) {
-                (Some(_), true) => RecordKind::Trace,
-                (Some(_), false) => RecordKind::Put,
-                (None, _) => RecordKind::Mark,
+            kind: match self.value {
+                Some(_) => RecordKind::Put,
+                None => RecordKind::Mark,
             },
             epoch: self.epoch,
             rk: self.rk.clone(),
@@ -125,9 +120,6 @@ struct Counters {
     compactions: AtomicU64,
     recovered_records: AtomicU64,
     truncated_tail_bytes: AtomicU64,
-    trace_hits: AtomicU64,
-    trace_misses: AtomicU64,
-    trace_stores: AtomicU64,
 }
 
 #[derive(Debug)]
@@ -351,7 +343,6 @@ impl LsmStore {
                     slot.epoch = slot.epoch.max(older.epoch);
                     if slot.value.is_none() {
                         slot.value = older.value;
-                        slot.trace = older.trace;
                     }
                     if slot.value.is_some() {
                         return Ok(merged);
@@ -370,6 +361,61 @@ impl LsmStore {
             }
         }
         Ok(merged)
+    }
+
+    /// The one read path behind `get` and `get_text`: the stored text
+    /// for `key` (CRC-verified in the WAL or segment it came from) and
+    /// its parsed value. A payload that passed its CRC but is not JSON
+    /// poisons the address and reads as corrupt.
+    fn lookup(&self, key: &Value) -> GetResult<(String, Value)> {
+        let shared = &self.shared;
+        if failpoints::io("cache-load").is_err() {
+            shared.counters.misses.fetch_add(1, Ordering::Relaxed);
+            return GetResult::Miss;
+        }
+        let rk = JournalRecord::resume_key(Some(key), "");
+        let addr = crate::hash::stable_addr(rk.as_bytes());
+        let from_mem = lock(&shared.inner)
+            .mem
+            .get(&addr)
+            .filter(|m| m.rk == rk)
+            .and_then(|m| m.value.clone());
+        let value_bytes = match from_mem {
+            Some(bytes) => Some(bytes),
+            None => {
+                if lock(&shared.poisoned).contains(&addr) {
+                    shared.counters.misses.fetch_add(1, Ordering::Relaxed);
+                    return GetResult::Miss;
+                }
+                match self.segment_lookup(addr, &rk) {
+                    Ok(found) => found.and_then(|m| m.value),
+                    Err(()) => {
+                        shared.counters.misses.fetch_add(1, Ordering::Relaxed);
+                        return GetResult::Corrupt;
+                    }
+                }
+            }
+        };
+        let Some(bytes) = value_bytes else {
+            shared.counters.misses.fetch_add(1, Ordering::Relaxed);
+            return GetResult::Miss;
+        };
+        match String::from_utf8(bytes)
+            .ok()
+            .and_then(|text| Some((serde_json::from_str(&text).ok()?, text)))
+        {
+            Some((value, text)) => {
+                shared.counters.hits.fetch_add(1, Ordering::Relaxed);
+                GetResult::Hit((text, value))
+            }
+            None => {
+                // CRC held but the payload is not JSON: a writer bug,
+                // not bit rot. Do not serve it.
+                shared.counters.misses.fetch_add(1, Ordering::Relaxed);
+                lock(&shared.poisoned).insert(addr);
+                GetResult::Corrupt
+            }
+        }
     }
 
     fn poison(&self, addr: u128, seg: &Segment, reason: &str) {
@@ -619,53 +665,11 @@ impl ResultStore for LsmStore {
     }
 
     fn get(&self, key: &Value) -> GetResult {
-        let shared = &self.shared;
-        if failpoints::io("cache-load").is_err() {
-            shared.counters.misses.fetch_add(1, Ordering::Relaxed);
-            return GetResult::Miss;
-        }
-        let rk = JournalRecord::resume_key(Some(key), "");
-        let addr = crate::hash::stable_addr(rk.as_bytes());
-        let from_mem = lock(&shared.inner)
-            .mem
-            .get(&addr)
-            .filter(|m| m.rk == rk)
-            .and_then(|m| m.value.clone());
-        let value_bytes = match from_mem {
-            Some(bytes) => Some(bytes),
-            None => {
-                if lock(&shared.poisoned).contains(&addr) {
-                    shared.counters.misses.fetch_add(1, Ordering::Relaxed);
-                    return GetResult::Miss;
-                }
-                match self.segment_lookup(addr, &rk) {
-                    Ok(found) => found.and_then(|m| m.value),
-                    Err(()) => {
-                        shared.counters.misses.fetch_add(1, Ordering::Relaxed);
-                        return GetResult::Corrupt;
-                    }
-                }
-            }
-        };
-        match value_bytes {
-            Some(bytes) => match parse_value(&bytes) {
-                Some(value) => {
-                    shared.counters.hits.fetch_add(1, Ordering::Relaxed);
-                    GetResult::Hit(value)
-                }
-                None => {
-                    // CRC held but the payload is not JSON: a writer
-                    // bug, not bit rot. Do not serve it.
-                    shared.counters.misses.fetch_add(1, Ordering::Relaxed);
-                    lock(&shared.poisoned).insert(addr);
-                    GetResult::Corrupt
-                }
-            },
-            None => {
-                shared.counters.misses.fetch_add(1, Ordering::Relaxed);
-                GetResult::Miss
-            }
-        }
+        self.lookup(key).map(|(_, value)| value)
+    }
+
+    fn get_text(&self, key: &Value) -> GetResult<String> {
+        self.lookup(key).map(|(text, _)| text)
     }
 
     fn put(&self, key: &Value, value: &Value) -> io::Result<()> {
@@ -703,90 +707,6 @@ impl ResultStore for LsmStore {
         // address.
         lock(&shared.poisoned).remove(&addr);
         shared.counters.stores.fetch_add(1, Ordering::Relaxed);
-        self.maybe_flush();
-        Ok(())
-    }
-
-    fn get_trace(&self, key: &str) -> TraceGet {
-        let shared = &self.shared;
-        let rk = format!("trace:{key}");
-        let addr = crate::hash::stable_addr(rk.as_bytes());
-        let from_mem = lock(&shared.inner)
-            .mem
-            .get(&addr)
-            .filter(|m| m.rk == rk && m.value.is_some())
-            .map(|m| (m.value.clone().unwrap_or_default(), m.digest));
-        let found = match from_mem {
-            Some(found) => Some(found),
-            None => {
-                if lock(&shared.poisoned).contains(&addr) {
-                    shared.counters.trace_misses.fetch_add(1, Ordering::Relaxed);
-                    return TraceGet::Miss;
-                }
-                match self.segment_lookup(addr, &rk) {
-                    Ok(found) => found
-                        .filter(|m| m.value.is_some())
-                        .map(|m| (m.value.unwrap_or_default(), m.digest)),
-                    Err(()) => {
-                        shared.counters.trace_misses.fetch_add(1, Ordering::Relaxed);
-                        return TraceGet::Corrupt;
-                    }
-                }
-            }
-        };
-        match found {
-            Some((bytes, Some(d))) if crate::hash::fnv64(&bytes) == d => {
-                shared.counters.trace_hits.fetch_add(1, Ordering::Relaxed);
-                TraceGet::Hit(bytes)
-            }
-            Some(_) => {
-                // The frame CRC held but the payload digest does not
-                // match (or was never written): a writer bug, not bit
-                // rot. Poison the address; a fresh store supersedes.
-                shared.counters.trace_misses.fetch_add(1, Ordering::Relaxed);
-                lock(&shared.poisoned).insert(addr);
-                TraceGet::Corrupt
-            }
-            None => {
-                shared.counters.trace_misses.fetch_add(1, Ordering::Relaxed);
-                TraceGet::Miss
-            }
-        }
-    }
-
-    fn put_trace(&self, key: &str, bytes: &[u8]) -> io::Result<()> {
-        let shared = &self.shared;
-        let rk = format!("trace:{key}");
-        let addr = crate::hash::stable_addr(rk.as_bytes());
-        let epoch = shared.epoch.load(Ordering::Relaxed);
-        let digest = crate::hash::fnv64(bytes);
-        {
-            let mut inner = lock(&shared.inner);
-            if inner
-                .mem
-                .get(&addr)
-                .is_some_and(|m| m.rk == rk && m.value.is_some() && m.digest == Some(digest))
-            {
-                // Traces are a pure function of the semantic key, so
-                // an identical in-memory copy makes this a no-op.
-                shared.counters.trace_stores.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
-            }
-            let rec = Record {
-                kind: RecordKind::Trace,
-                epoch,
-                rk,
-                id: String::new(),
-                digest: Some(digest),
-                value: bytes.to_vec(),
-            };
-            self.append_wal(&rec)?;
-            inner.mem.entry(addr).or_default().absorb(&rec);
-        }
-        // A fresh trace supersedes any poisoned history here, exactly
-        // like a fresh put.
-        lock(&shared.poisoned).remove(&addr);
-        shared.counters.trace_stores.fetch_add(1, Ordering::Relaxed);
         self.maybe_flush();
         Ok(())
     }
@@ -900,7 +820,6 @@ impl ResultStore for LsmStore {
                 }
                 if mem.value.is_some() {
                     slot.value = mem.value.clone();
-                    slot.trace = mem.trace;
                 }
             }
         }
@@ -908,11 +827,6 @@ impl ResultStore for LsmStore {
         let mut state = ResumeState::default();
         for (addr, mem) in merged {
             if mem.epoch != current || poisoned.contains(&addr) {
-                continue;
-            }
-            // Trace records are cache content keyed by semantic key,
-            // not sweep progress — they never resume as completions.
-            if mem.trace {
                 continue;
             }
             let Some(bytes) = &mem.value else { continue };
@@ -942,9 +856,6 @@ impl ResultStore for LsmStore {
             compactions: c.compactions.load(Ordering::Relaxed),
             recovered_records: c.recovered_records.load(Ordering::Relaxed),
             truncated_tail_bytes: c.truncated_tail_bytes.load(Ordering::Relaxed),
-            trace_hits: c.trace_hits.load(Ordering::Relaxed),
-            trace_misses: c.trace_misses.load(Ordering::Relaxed),
-            trace_stores: c.trace_stores.load(Ordering::Relaxed),
             backend: self.backend_name(),
         }
     }
@@ -1206,92 +1117,6 @@ mod tests {
             store.stats().quarantined >= 1,
             "old CURRENT kept as evidence"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn traces_round_trip_through_wal_flush_and_reopen() {
-        let dir = scratch("traces");
-        let blob: Vec<u8> = (0..=255u8).cycle().take(700).collect();
-        {
-            let store = LsmStore::open(&dir).unwrap();
-            store.put_trace("sem-key-1", &blob).unwrap();
-            assert_eq!(store.get_trace("sem-key-1"), TraceGet::Hit(blob.clone()));
-            assert_eq!(store.get_trace("sem-key-2"), TraceGet::Miss);
-            let stats = store.stats();
-            assert_eq!(
-                (stats.trace_hits, stats.trace_misses, stats.trace_stores),
-                (1, 1, 1)
-            );
-        }
-        // Reopen from the WAL, then force the trace into a segment.
-        {
-            let store = LsmStore::open(&dir).unwrap();
-            assert_eq!(store.get_trace("sem-key-1"), TraceGet::Hit(blob.clone()));
-            store.flush().unwrap();
-            assert_eq!(store.get_trace("sem-key-1"), TraceGet::Hit(blob.clone()));
-        }
-        // Reopen again: the read comes from the mmap'd segment.
-        let store = LsmStore::open(&dir).unwrap();
-        assert_eq!(store.stats().recovered_records, 0);
-        assert_eq!(store.get_trace("sem-key-1"), TraceGet::Hit(blob));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn traces_and_results_share_the_store_without_collisions() {
-        let dir = scratch("trace-mix");
-        let store = LsmStore::open_with(&dir, small_opts()).unwrap();
-        store.begin_sweep(false).unwrap();
-        for n in 0..6 {
-            store.journal_append(&journal_rec(n)).unwrap();
-            store
-                .put_trace(&format!("sem-{n}"), &[n as u8; 64])
-                .unwrap();
-        }
-        // Interleaved writes crossed the flush threshold; everything
-        // still reads back, and compaction preserves both kinds.
-        if let Some(h) = lock(&store.compact_handle).take() {
-            h.join().unwrap();
-        }
-        for n in 0..6 {
-            assert!(matches!(store.get(&key(n)), GetResult::Hit(Value::U64(v)) if v == n * 10));
-            assert_eq!(
-                store.get_trace(&format!("sem-{n}")),
-                TraceGet::Hit(vec![n as u8; 64])
-            );
-        }
-        // Resume sees only the journaled cells, never the traces.
-        let state = store.resume_state().unwrap();
-        assert_eq!(state.values.len(), 6);
-        assert!(state.values.keys().all(|k| !k.starts_with("trace:")));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_trace_reads_corrupt_then_heals_on_rewrite() {
-        let dir = scratch("trace-poison");
-        let blob = vec![0xabu8; 600];
-        {
-            let store = LsmStore::open(&dir).unwrap();
-            store.put_trace("hurt", &blob).unwrap();
-            store.flush().unwrap();
-        }
-        // Flip a byte inside the segment's only frame: the payload is
-        // large, so an offset past the headers lands in the blob.
-        let seg_path = dir.join(segment_file_name(1));
-        let mut bytes = std::fs::read(&seg_path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&seg_path, &bytes).unwrap();
-        let store = LsmStore::open(&dir).unwrap();
-        assert_eq!(store.get_trace("hurt"), TraceGet::Corrupt);
-        assert!(store.stats().quarantined >= 1, "evidence retained");
-        // Poisoned: the repeat read is a cheap miss.
-        assert_eq!(store.get_trace("hurt"), TraceGet::Miss);
-        // A fresh recording supersedes the poisoned address.
-        store.put_trace("hurt", &blob).unwrap();
-        assert_eq!(store.get_trace("hurt"), TraceGet::Hit(blob));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

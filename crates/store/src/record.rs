@@ -1,6 +1,6 @@
 //! The record and frame formats shared by the WAL and segments.
 //!
-//! One *record* is one logical store event. Four kinds exist:
+//! One *record* is one logical store event. Three kinds exist:
 //!
 //! - `Put` — a finished cell: resume key, id, optional timeline
 //!   digest, and the value's canonical JSON bytes.
@@ -12,12 +12,6 @@
 //!   the epoch instead of truncating anything: resume state is "all
 //!   records at the current epoch", so old values stay readable as
 //!   cache entries while the journal is logically empty.
-//! - `Trace` — a recorded functional GPU trace, keyed by a cell's
-//!   *semantic* key (`trace:{key}`). Encoded exactly like a `Put` but
-//!   the payload is the raw trace-blob bytes (not JSON) and the
-//!   digest field carries the payload's FNV so reads verify end to
-//!   end without decoding. Trace records never participate in
-//!   resume — they are cache content, not sweep progress.
 //!
 //! On disk a record travels in a *frame*:
 //!
@@ -123,15 +117,6 @@ pub enum RecordKind {
     Put,
     /// A completion marker for an already-stored value.
     Mark,
-    /// A recorded functional trace (raw bytes, semantic-keyed).
-    Trace,
-}
-
-impl RecordKind {
-    /// Whether this kind carries a payload after the fixed fields.
-    fn has_value(self) -> bool {
-        matches!(self, RecordKind::Put | RecordKind::Trace)
-    }
 }
 
 /// One decoded store record.
@@ -177,7 +162,6 @@ impl Record {
             RecordKind::Epoch => 0u8,
             RecordKind::Put => 1,
             RecordKind::Mark => 2,
-            RecordKind::Trace => 3,
         };
         let mut body = Vec::with_capacity(32 + self.rk.len() + self.id.len() + self.value.len());
         body.push(kind);
@@ -189,7 +173,7 @@ impl Record {
             body.extend_from_slice(self.id.as_bytes());
             body.push(self.digest.is_some() as u8);
             body.extend_from_slice(&self.digest.unwrap_or(0).to_le_bytes());
-            if self.kind.has_value() {
+            if self.kind == RecordKind::Put {
                 body.extend_from_slice(&self.value);
             }
         }
@@ -208,7 +192,6 @@ impl Record {
             0 => RecordKind::Epoch,
             1 => RecordKind::Put,
             2 => RecordKind::Mark,
-            3 => RecordKind::Trace,
             other => return Err(format!("unknown record kind {other}")),
         };
         let epoch = cur.u64()?;
@@ -227,7 +210,7 @@ impl Record {
             1 => Some(digest_bits),
             other => return Err(format!("bad digest flag {other}")),
         };
-        let value = if kind.has_value() {
+        let value = if kind == RecordKind::Put {
             body[cur.pos..].to_vec()
         } else {
             if cur.pos != body.len() {
@@ -361,24 +344,6 @@ mod tests {
             assert_eq!(next, buf.len());
             assert_eq!(Record::decode_body(body).unwrap(), rec);
         }
-    }
-
-    #[test]
-    fn trace_records_round_trip_raw_binary_payloads() {
-        // Trace payloads are not JSON and not UTF-8; the frame format
-        // must carry them byte-exact.
-        let rec = Record {
-            kind: RecordKind::Trace,
-            epoch: 5,
-            rk: "trace:{\"func\":\"scu-func-1\"}".to_string(),
-            id: String::new(),
-            digest: Some(crate::hash::fnv64(&[0xff, 0x00, 0x80, 0x7f])),
-            value: vec![0xff, 0x00, 0x80, 0x7f],
-        };
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &rec.encode_body());
-        let (body, _) = read_frame(&buf, 0).unwrap();
-        assert_eq!(Record::decode_body(body).unwrap(), rec);
     }
 
     #[test]

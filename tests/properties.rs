@@ -71,75 +71,6 @@ fn fresh() -> (ScuDevice, MemorySystem, DeviceAllocator) {
     )
 }
 
-/// The `SimThreads` knob is byte-invisible: every algorithm × device
-/// config produces an identical serialised [`scu::algos::CellResult`]
-/// (answer fingerprint, full report, phase rows) and an identical
-/// timeline digest at 1, 2 and 4 timing lanes. This is the contract
-/// that keeps the knob out of the content-addressed cache key.
-///
-/// Not a proptest: the matrix is exact (5 algorithms × 3 configs × 3
-/// thread counts) and the assertion is equality of serialised bytes.
-#[test]
-fn sim_threads_knob_is_byte_invisible() {
-    use scu::algos::runner::{Algorithm, Mode};
-    use scu::algos::{Cell, SimThreads};
-    use scu::bench::ExperimentConfig;
-    use scu::graph::Dataset;
-
-    let mut cfg = ExperimentConfig::from_env();
-    cfg.scale = 1.0 / 256.0;
-    // GTX980 exercises 16-way lanes; TX1 caps the fan-out at its 2 SMs.
-    let combos = [
-        (SystemKind::Tx1, Mode::GpuBaseline),
-        (SystemKind::Tx1, Mode::ScuEnhanced),
-        (SystemKind::Gtx980, Mode::ScuEnhanced),
-    ];
-    let algos = [
-        Algorithm::Bfs,
-        Algorithm::Sssp,
-        Algorithm::PageRank,
-        Algorithm::Cc,
-        Algorithm::KCore,
-    ];
-
-    let run_matrix = |threads: usize| -> Vec<(String, String, u64)> {
-        SimThreads::set(threads);
-        let mut out = Vec::new();
-        for &(system, mode) in &combos {
-            for &algo in &algos {
-                let cell = Cell {
-                    algorithm: algo,
-                    dataset: Dataset::Kron,
-                    system,
-                    mode,
-                    pr_iters: cfg.pr_iters,
-                    scale: cfg.scale,
-                    seed: 42,
-                    scu_config: Some(cfg.scu_config(system)),
-                };
-                let result = cell.run();
-                let json = serde_json::to_string(&serde_json::to_value(&result))
-                    .expect("CellResult serialises");
-                out.push((cell.id(), json, result.timeline_digest));
-            }
-        }
-        out
-    };
-
-    let sequential = run_matrix(1);
-    for threads in [2usize, 4] {
-        let threaded = run_matrix(threads);
-        for (seq, par) in sequential.iter().zip(&threaded) {
-            assert_eq!(
-                seq, par,
-                "cell diverged between --sim-threads 1 and {threads}"
-            );
-        }
-        assert_eq!(sequential.len(), threaded.len());
-    }
-    SimThreads::set(1);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -36,7 +36,7 @@ use scu_algos::runner::{Algorithm, Mode};
 use scu_algos::SystemKind;
 use scu_bench::ExperimentConfig;
 use scu_graph::{Dataset, GraphStats};
-use scu_harness::{CliArgs, ResultCache};
+use scu_harness::{CliArgs, ResultStore};
 use scu_trace::chrome::chrome_trace_document;
 
 fn parse_args(args: &[String]) -> Result<(Algorithm, Dataset, SystemKind, Mode), String> {
@@ -83,16 +83,16 @@ fn parse_args(args: &[String]) -> Result<(Algorithm, Dataset, SystemKind, Mode),
 /// from the cache.
 fn obtain(cell: &Cell, no_cache: bool) -> (CellResult, bool) {
     if !no_cache {
-        if let Ok(cache) = ResultCache::open("results/cache") {
+        if let Ok(cache) = scu_harness::open_store("results/cache") {
             let key = cell.cache_key();
-            if let Some(value) = cache.load(&key) {
+            if let Some(value) = cache.get(&key).hit() {
                 if let Ok(result) = CellResult::from_value(&value) {
                     return (result, true);
                 }
             }
             let result = cell.run();
             let value = serde_json::to_value(&result);
-            if let Err(e) = cache.store(&key, &value) {
+            if let Err(e) = cache.put(&key, &value) {
                 eprintln!("cache store failed: {e}");
             }
             return (result, false);

@@ -1,35 +1,76 @@
-//! A result directory written before the functional-trace cache was
-//! removed holds kind-3 trace records, both in the write-ahead log and
-//! in flushed segments. This build has no decoder for them and no
-//! compatibility shim: such a store must still open and compact
-//! without panicking, never serve a wrong value, and a full 240-cell
-//! `export_json` over it must be byte-identical to a cold run — every
-//! cell it cannot read back simply recomputes.
+//! Result directories written by older builds open with no
+//! compatibility shim.
+//!
+//! - A store written before the functional-trace cache was removed
+//!   holds kind-3 trace records, both in the write-ahead log and in
+//!   flushed segments. This build has no decoder for them: such a
+//!   store must still open and compact without panicking, never serve
+//!   a wrong value, and a full 240-cell `export_json` over it must be
+//!   byte-identical to a cold run — every cell it cannot read back
+//!   simply recomputes.
+//! - A `results/` tree from before the LSM store holds one
+//!   `<digest>.json` envelope per cell in `results/cache` and a
+//!   line-JSON `results/manifest.json`. Neither is read: the cache
+//!   opens as a fresh store, and `--resume` finds nothing to resume.
 
-use std::collections::HashSet;
-use std::path::Path;
+use std::collections::{BTreeMap, HashSet};
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use scu_algos::experiment::{plan_cells, ExperimentConfig, ALL_MODES};
 use scu_store::record::{read_frame, JournalRecord, Record};
-use scu_store::{GetResult, LsmOptions, LsmStore, ResultStore};
+use scu_store::{stable_digest, GetResult, LsmOptions, LsmStore, ResultStore};
 use serde_json::Value;
 
 const SCALE: &str = "0.0009765625";
 
-fn export(dir: &Path) -> Vec<u8> {
+/// Runs `export_json --jobs 2` plus `extra` in `dir`; returns stdout
+/// and stderr.
+fn export_with(dir: &Path, extra: &[&str]) -> (Vec<u8>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_export_json"))
         .args(["--jobs", "2"])
+        .args(extra)
         .env("SCU_SCALE", SCALE)
         .current_dir(dir)
         .output()
         .expect("export_json spawns");
-    assert!(
-        out.status.success(),
-        "export_json failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    out.stdout
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "export_json failed: {stderr}");
+    (out.stdout, stderr)
+}
+
+fn export(dir: &Path) -> Vec<u8> {
+    export_with(dir, &[]).0
+}
+
+/// The cache keys of the full 240-cell matrix at [`SCALE`], with
+/// their cell ids.
+fn matrix_keys() -> Vec<(String, Value)> {
+    let mut cfg = ExperimentConfig::from_env();
+    cfg.scale = SCALE.parse().unwrap();
+    let cells: Vec<(String, Value)> = plan_cells(&cfg, &ALL_MODES, None)
+        .iter()
+        .map(|c| (c.id(), c.cache_key()))
+        .collect();
+    assert_eq!(cells.len(), 240);
+    cells
+}
+
+/// Every file under `dir`, by path, with its bytes.
+fn snapshot(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(at) = pending.pop() {
+        for entry in std::fs::read_dir(&at).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                files.insert(path.clone(), std::fs::read(&path).unwrap());
+            }
+        }
+    }
+    files
 }
 
 /// Rewrites every frame in `bytes[start..end]` whose resume key is in
@@ -72,13 +113,7 @@ fn stores_with_trace_records_open_cleanly_and_recompute() {
 
     // A cold export; its store supplies the real cell values.
     let cold = export(&cold_dir);
-    let mut cfg = ExperimentConfig::from_env();
-    cfg.scale = SCALE.parse().unwrap();
-    let keys: Vec<Value> = plan_cells(&cfg, &ALL_MODES, None)
-        .iter()
-        .map(|c| c.cache_key())
-        .collect();
-    assert_eq!(keys.len(), 240);
+    let keys: Vec<Value> = matrix_keys().into_iter().map(|(_, k)| k).collect();
     let values: Vec<Value> = {
         let store = LsmStore::open(cold_dir.join("results/cache")).unwrap();
         keys.iter()
@@ -179,5 +214,79 @@ fn stores_with_trace_records_open_cleanly_and_recompute() {
     // A full export over the old directory reuses what it can read and
     // recomputes the rest, byte-identical to the cold run.
     assert_eq!(export(&old_dir), cold);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn blob_era_result_directories_are_ignored() {
+    let root = std::env::temp_dir().join(format!("scu-blob-era-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let (cold_dir, old_dir) = (root.join("cold"), root.join("old"));
+    std::fs::create_dir_all(&cold_dir).unwrap();
+    let cold = export(&cold_dir);
+    let cells = matrix_keys();
+    let values: Vec<Value> = {
+        let store = LsmStore::open(cold_dir.join("results/cache")).unwrap();
+        cells
+            .iter()
+            .map(|(_, k)| store.get(k).hit().expect("cold store holds every cell"))
+            .collect()
+    };
+
+    // The blob-era layout, written as plain files: an envelope per
+    // cell named by the key's digest, and one journal line per cell.
+    let canonical = |v: &Value| serde_json::to_string(v).unwrap();
+    let cache = old_dir.join("results/cache");
+    std::fs::create_dir_all(&cache).unwrap();
+    let mut manifest = String::new();
+    for ((id, key), value) in cells.iter().zip(&values) {
+        let envelope = Value::Object(vec![
+            ("key".into(), key.clone()),
+            ("value".into(), value.clone()),
+            (
+                "check".into(),
+                Value::Str(stable_digest(canonical(value).as_bytes())),
+            ),
+        ]);
+        let name = format!("{}.json", stable_digest(canonical(key).as_bytes()));
+        std::fs::write(cache.join(name), canonical(&envelope)).unwrap();
+        let mut line = vec![
+            ("key".to_string(), key.clone()),
+            ("id".to_string(), Value::Str(id.clone())),
+            ("value".to_string(), value.clone()),
+        ];
+        if let Some(d) = value.get("timeline_digest") {
+            line.push(("digest".to_string(), d.clone()));
+        }
+        manifest.push_str(&canonical(&Value::Object(line)));
+        manifest.push('\n');
+    }
+    std::fs::write(old_dir.join("results/manifest.json"), manifest).unwrap();
+
+    // An uncached resume finds nothing to resume, recomputes every
+    // cell, and never touches `results/cache`.
+    let blobs = snapshot(&cache);
+    let (uncached, stderr) = export_with(&old_dir, &["--no-cache", "--resume"]);
+    assert!(!stderr.contains("resuming:"), "{stderr}");
+    assert_eq!(uncached, cold);
+    assert_eq!(snapshot(&cache), blobs, "--no-cache touched results/cache");
+    assert!(old_dir.join("results/journal/CURRENT").exists());
+
+    // The blob directory opens as a fresh store …
+    {
+        let store = LsmStore::open(&cache).unwrap();
+        assert_eq!(store.segment_count(), 0);
+        assert_eq!(store.stats().recovered_records, 0);
+        assert!(store.resume_state().unwrap().values.is_empty());
+        assert!(cells.iter().all(|(_, k)| store.get(k) == GetResult::Miss));
+    }
+    // … so a cached export recomputes (and stores) every cell, and is
+    // byte-identical to the cold run.
+    assert_eq!(export(&old_dir), cold);
+    let store = LsmStore::open(&cache).unwrap();
+    for ((_, k), v) in cells.iter().zip(&values) {
+        assert_eq!(store.get(k).hit().as_ref(), Some(v));
+    }
+    drop(store);
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -68,8 +68,8 @@ artifacts (results are byte-identical either way)\n  \
     --timeout-secs N  mark cells running longer than N seconds as timed out\n  \
     --retries N       retry failed/timed-out cells up to N times (default: 2)\n  \
     --resume          resume an interrupted sweep from its journal (the result\n                    \
-store's write-ahead log, or results/manifest.json when\n                    \
-running uncached)\n  \
+store's write-ahead log, or results/journal when running\n                    \
+uncached)\n  \
     --strict-resume   fail (exit 1) if a resumed cell's timeline digest diverges\n                    \
     from the journaled one, instead of warning\n  \
     --trace PATH      write a chrome://tracing (Perfetto) JSON trace to PATH";

@@ -50,10 +50,10 @@ use std::time::{Duration, Instant};
 
 use serde_json::Value;
 
-use crate::cache::ResultCache;
+use scu_store::{JournalRecord, ResultStore};
+
 use crate::error::lock_unpoisoned;
 use crate::job::{Attempt, Job, JobGraph, JobId, Outcome};
-use crate::journal::{Journal, JournalEntry};
 use crate::progress::Progress;
 
 /// Executor knobs.
@@ -102,11 +102,12 @@ pub fn capped_backoff(base: Duration, cap: Duration, prior_attempts: usize) -> D
 #[derive(Default)]
 pub struct ExecContext<'a> {
     /// Content-addressed result cache, if caching is on.
-    pub cache: Option<&'a ResultCache>,
-    /// Journal receiving each completion, if journaling is on.
-    pub journal: Option<&'a Journal>,
+    pub cache: Option<&'a dyn ResultStore>,
+    /// Store whose journal receives each completion, if journaling is
+    /// on (the cache itself when one is mounted).
+    pub journal: Option<&'a dyn ResultStore>,
     /// Journaled completions from an interrupted sweep, keyed by
-    /// [`JournalEntry::resume_key`].
+    /// [`JournalRecord::resume_key`].
     pub resume: Option<&'a HashMap<String, Value>>,
     /// Timeline digests from the interrupted sweep's journal, keyed by
     /// job id. A cell that *re-runs* during a resumed sweep (its cache
@@ -302,7 +303,7 @@ fn run_one(job: &Job, ctx: &ExecContext<'_>, opts: &ExecOptions, sched: &Schedul
     }
     let start = Instant::now();
     if let Some(resume) = ctx.resume {
-        let rk = JournalEntry::resume_key(job.cache_key.as_ref(), &job.id);
+        let rk = JournalRecord::resume_key(job.cache_key.as_ref(), &job.id);
         if let Some(value) = resume.get(&rk) {
             return Outcome::Done {
                 value: value.clone(),
@@ -313,7 +314,7 @@ fn run_one(job: &Job, ctx: &ExecContext<'_>, opts: &ExecOptions, sched: &Schedul
         }
     }
     if let (Some(cache), Some(key)) = (ctx.cache, job.cache_key.as_ref()) {
-        if let Some(value) = cache.load(key) {
+        if let Some(value) = cache.get(key).hit() {
             let outcome = Outcome::Done {
                 value,
                 duration: start.elapsed(),
@@ -353,7 +354,7 @@ fn run_one(job: &Job, ctx: &ExecContext<'_>, opts: &ExecOptions, sched: &Schedul
     if let (Some(cache), Some(key), Outcome::Done { value, .. }) =
         (ctx.cache, job.cache_key.as_ref(), &outcome)
     {
-        if let Err(e) = cache.store(key, value) {
+        if let Err(e) = cache.put(key, value) {
             // A write failure degrades caching, not correctness.
             eprintln!("[scu-harness] cache store failed for '{}': {e}", job.id);
         }
@@ -372,13 +373,13 @@ fn journal_done(ctx: &ExecContext<'_>, job: &Job, outcome: &Outcome) {
     let (Some(journal), Outcome::Done { value, .. }) = (ctx.journal, outcome) else {
         return;
     };
-    let entry = JournalEntry {
+    let record = JournalRecord {
         key: job.cache_key.clone(),
         id: job.id.clone(),
         value: value.clone(),
         digest: timeline_digest(value),
     };
-    if let Err(e) = journal.append(&entry) {
+    if let Err(e) = journal.journal_append(&record) {
         // A short journal only costs recomputation on resume.
         eprintln!("[scu-harness] journal append failed for '{}': {e}", job.id);
     }
@@ -757,7 +758,7 @@ mod tests {
         );
         let mut resume = HashMap::new();
         resume.insert(
-            JournalEntry::resume_key(Some(&key), "resumable"),
+            JournalRecord::resume_key(Some(&key), "resumable"),
             Value::U64(99),
         );
         let ctx = ExecContext {
@@ -853,7 +854,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("scu-harness-exec-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir).unwrap();
+        let cache = crate::open_store(&dir).unwrap();
         let key = Value::Str("cell-key".into());
         let build = |key: Value| {
             let mut g = JobGraph::new();
@@ -883,8 +884,8 @@ mod tests {
         let _sites = crate::failpoint::serial_store_sites();
         let dir = std::env::temp_dir().join(format!("scu-harness-exec-jnl-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("manifest.json");
-        let journal = Journal::open(&path, true).unwrap();
+        let journal = crate::open_store(dir.join("journal")).unwrap();
+        journal.begin_sweep(false).unwrap();
         let mut g = JobGraph::new();
         g.push(Job::new("ok", || Value::U64(5)).with_cache_key(Value::U64(1)));
         g.push(Job::new("bad", || panic!("no journal entry for me")));
@@ -893,10 +894,14 @@ mod tests {
             ..ExecContext::default()
         };
         execute(&g, &ctx, &ExecOptions::default(), &silent());
-        let entries = Journal::load(&path).unwrap();
-        assert_eq!(entries.len(), 1, "only completions are journaled");
-        assert_eq!(entries[0].id, "ok");
-        assert_eq!(entries[0].value, Value::U64(5));
+        let state = journal.resume_state().unwrap();
+        assert_eq!(state.values.len(), 1, "only completions are journaled");
+        assert_eq!(
+            state
+                .values
+                .get(&JournalRecord::resume_key(Some(&Value::U64(1)), "ok")),
+            Some(&Value::U64(5))
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -47,9 +47,9 @@
 //! |----------------------|-----------------------------------|-----------------|
 //! | `cell-run`           | `scu_algos::cell::Cell::run`      | panic, delay, error (as panic) |
 //! | `graph-build`        | `scu_algos::cell::shared_graph`   | panic, delay    |
-//! | `cache-load`         | `ResultStore::get` (both backends)| io-error, delay |
-//! | `cache-store`        | `ResultStore::put` (both backends)| io-error, delay |
-//! | `journal-append`     | `ResultStore::journal_append` / `Journal::append` | io-error, delay |
+//! | `cache-load`         | `ResultStore::get`                | io-error, delay |
+//! | `cache-store`        | `ResultStore::put`                | io-error, delay |
+//! | `journal-append`     | `ResultStore::journal_append`     | io-error, delay |
 //! | `wal-append`         | `scu_store::wal::Wal::append`     | io-error, delay |
 //! | `segment-flush`      | `scu_store::lsm` memtable flush   | io-error, delay |
 //! | `compact`            | `scu_store::lsm` compaction pass  | io-error, delay |
@@ -349,9 +349,9 @@ pub fn io(site: &str) -> std::io::Result<()> {
 /// Routes `scu-store`'s failpoint sites (`cache-load`, `cache-store`,
 /// `journal-append`, `wal-append`, `segment-flush`, `compact`) through
 /// this registry, so `SCU_FAILPOINTS` and [`scoped`] drive the storage
-/// layer exactly like every other site. Idempotent; called by every
-/// cache/harness constructor that touches a store.
-pub fn install_store_hook() {
+/// layer exactly like every other site. Idempotent; called by
+/// [`crate::open_store`].
+pub(crate) fn install_store_hook() {
     scu_store::failpoints::install(io);
 }
 

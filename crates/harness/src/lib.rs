@@ -8,10 +8,11 @@
 //! - **Determinism** — each cell is a pure closure owning its
 //!   configuration; outcomes are returned in submission order, so a
 //!   run with `--jobs 16` is byte-identical to `--jobs 1`.
-//! - **Content-addressed caching** — results are JSON blobs keyed by
-//!   a stable hash of the cell configuration plus a model-version
+//! - **Content-addressed caching** — results live in an
+//!   [`LsmStore`] keyed by the cell configuration plus a model-version
 //!   string; after a code tweak that bumps the version, only
-//!   invalidated cells recompute ([`cache::ResultCache`]).
+//!   invalidated cells recompute. The same store's write-ahead log
+//!   journals completions for `--resume`.
 //! - **Fault isolation** — a panicking cell is caught and reported
 //!   `FAILED`, a cell over its wall-clock budget `TIMED-OUT`, and
 //!   dependents of either are `skipped`; the sweep always completes
@@ -36,30 +37,39 @@
 //! assert_eq!(sweep.outcomes[3].value(), Some(&Value::U64(9)));
 //! ```
 
-pub mod cache;
 pub mod cancel;
 pub mod cli;
 pub mod error;
 pub mod executor;
 pub mod failpoint;
-pub mod hash;
 pub mod job;
-pub mod journal;
 pub mod progress;
 pub mod session;
 
-pub use cache::{GetResult, ResultCache, ResultCacheStats, ResultStore, StoreStats};
 pub use cli::CliArgs;
 pub use error::HarnessError;
 pub use executor::{capped_backoff, default_jobs, ExecContext, ExecOptions, ExecResult};
 pub use job::{Attempt, Job, JobGraph, JobId, Outcome};
-pub use journal::{Journal, JournalEntry};
 pub use progress::{Progress, ProgressEvent, ProgressObserver, SweepSummary};
+pub use scu_store::{GetResult, LsmStore, ResultStore, StoreStats};
 
-use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Opens the result store at `dir` (creating or recovering it) with the
+/// harness's failpoints routed into it — how the harness, the sweep
+/// server and the binaries open every store.
+///
+/// # Errors
+///
+/// Returns [`HarnessError::Io`] when the directory cannot be created or
+/// the store cannot be recovered.
+pub fn open_store(dir: impl AsRef<Path>) -> Result<LsmStore, HarnessError> {
+    failpoint::install_store_hook();
+    let dir = dir.as_ref();
+    LsmStore::open(dir).map_err(|e| HarnessError::io("open store", dir, e))
+}
 
 /// Everything a finished sweep produced.
 #[derive(Debug)]
@@ -69,7 +79,7 @@ pub struct Sweep {
     /// Aggregate counts, failures and timings.
     pub summary: SweepSummary,
     /// Cache activity during the sweep (zeroes when caching is off).
-    pub cache_stats: ResultCacheStats,
+    pub cache_stats: StoreStats,
 }
 
 /// Builder-style front door: configure once, run a [`JobGraph`].
@@ -85,7 +95,7 @@ pub struct Harness {
     retries: u32,
     backoff: Duration,
     backoff_cap: Duration,
-    manifest: Option<PathBuf>,
+    journal_dir: Option<PathBuf>,
     resume: bool,
     strict_resume: bool,
     handle_sigint: bool,
@@ -103,7 +113,7 @@ impl std::fmt::Debug for Harness {
             .field("progress_file", &self.progress_file)
             .field("observer", &self.observer.is_some())
             .field("retries", &self.retries)
-            .field("manifest", &self.manifest)
+            .field("journal_dir", &self.journal_dir)
             .field("resume", &self.resume)
             .field("strict_resume", &self.strict_resume)
             .field("handle_sigint", &self.handle_sigint)
@@ -125,7 +135,7 @@ impl Default for Harness {
             retries: 0,
             backoff: Duration::from_millis(100),
             backoff_cap: Duration::from_secs(2),
-            manifest: None,
+            journal_dir: None,
             resume: false,
             strict_resume: false,
             handle_sigint: false,
@@ -215,15 +225,18 @@ impl Harness {
         self
     }
 
-    /// Journals each completion to `path` (e.g.
-    /// `results/manifest.json`) so an interrupted sweep can resume.
-    pub fn manifest(mut self, path: impl Into<PathBuf>) -> Self {
-        self.manifest = Some(path.into());
+    /// Journals each completion so an interrupted sweep can resume.
+    /// With a cache mounted the cache store's write-ahead log is the
+    /// journal; without one, completions go to a store of their own at
+    /// `dir` (e.g. `results/journal`), which never holds cache entries.
+    pub fn journal_dir(mut self, dir: impl Into<PathBuf>) -> Self {
+        self.journal_dir = Some(dir.into());
         self
     }
 
     /// Pre-resolves jobs already journaled by an interrupted sweep
-    /// instead of truncating the manifest. Needs [`Harness::manifest`].
+    /// instead of starting the journal afresh. Needs
+    /// [`Harness::journal_dir`].
     pub fn resume(mut self, resume: bool) -> Self {
         self.resume = resume;
         self
@@ -238,7 +251,7 @@ impl Harness {
     }
 
     /// Installs a SIGINT handler for the run: the first Ctrl-C drains
-    /// in-flight cells and writes the manifest, the second kills.
+    /// in-flight cells into the journal, the second kills.
     pub fn handle_sigint(mut self, handle: bool) -> Self {
         self.handle_sigint = handle;
         self
@@ -261,130 +274,66 @@ impl Harness {
     /// Runs the graph to completion (or to a drained cancellation).
     ///
     /// Every harness-side failure degrades rather than kills the
-    /// sweep: an unusable cache runs uncached, an unusable manifest
+    /// sweep: an unusable cache runs uncached, an unusable journal
     /// runs unjournaled, an unreadable resume journal resumes nothing.
     pub fn run(&self, graph: &JobGraph) -> Sweep {
         if self.handle_sigint {
             cancel::install_sigint_handler();
         }
-        let cache = match &self.store_backend {
-            Some(backend) => Some(ResultCache::from_backend(Arc::clone(backend))),
-            None => self
-                .cache_dir
-                .as_ref()
-                .and_then(|dir| match ResultCache::open(dir) {
-                    Ok(c) => Some(c),
-                    Err(e) => {
-                        eprintln!(
-                            "[scu-harness] cannot open cache at {}: {e}; running uncached",
-                            dir.display()
-                        );
-                        None
-                    }
-                }),
+        let open = |dir: &PathBuf, what: &str, fallback: &str| {
+            open_store(dir)
+                .map_err(|e| eprintln!("[scu-harness] cannot open {what}: {e}; {fallback}"))
+                .ok()
         };
-        // With an LSM-backed cache the store's write-ahead log *is* the
-        // journal: each finished cell is one CRC-framed append, and
-        // resume state is replayed from the same bytes as the cache.
-        // The line-JSON manifest file remains the journal for legacy
-        // and uncached runs, byte-for-byte as before.
-        let unified = self.manifest.is_some()
-            && cache
-                .as_ref()
-                .is_some_and(|c| c.backend().unified_journal());
-        let mut resume_digests = None;
-        let resume_map = if !self.resume {
-            None
-        } else if unified {
-            let backend = cache.as_ref().expect("unified implies a cache").backend();
-            match backend.resume_state() {
+        let opened_cache = match (&self.store_backend, &self.cache_dir) {
+            (None, Some(dir)) => open(dir, "cache", "running uncached"),
+            _ => None,
+        };
+        let cache: Option<&dyn ResultStore> = self
+            .store_backend
+            .as_deref()
+            .or(opened_cache.as_ref().map(|s| s as _));
+        // With a cache mounted its write-ahead log is the journal;
+        // without one, completions go to a store of their own.
+        let opened_journal = match (cache, &self.journal_dir) {
+            (None, Some(dir)) => open(dir, "journal", "running unjournaled"),
+            _ => None,
+        };
+        let journal: Option<&dyn ResultStore> = self
+            .journal_dir
+            .as_ref()
+            .and(cache.or(opened_journal.as_ref().map(|s| s as _)));
+        // Digests cross-check re-run cells against what the interrupted
+        // sweep observed (warn, or fail under strict_resume).
+        let (resume_map, resume_digests) = match journal.filter(|_| self.resume) {
+            Some(journal) => match journal.resume_state() {
                 Ok(state) => {
-                    // A leftover line-JSON manifest (sweeps from before
-                    // the store migration) still feeds resume; the
-                    // store wins where both journaled a cell.
-                    let (mut map, mut digests) = match self.manifest.as_deref() {
-                        Some(path) if path.exists() => (
-                            Journal::load_resume_map(path).unwrap_or_default(),
-                            Journal::load_digest_map(path).unwrap_or_default(),
-                        ),
-                        _ => (HashMap::new(), HashMap::new()),
-                    };
-                    map.extend(state.values);
-                    digests.extend(state.digests);
-                    if !map.is_empty() {
+                    if !state.values.is_empty() {
                         eprintln!(
                             "[scu-harness] resuming: {} cell(s) already journaled in {}",
-                            map.len(),
-                            backend.dir().display()
+                            state.values.len(),
+                            journal.dir().display()
                         );
                     }
-                    resume_digests = Some(digests);
-                    Some(map)
+                    (Some(state.values), Some(state.digests))
                 }
                 Err(e) => {
                     eprintln!("[scu-harness] cannot resume: {e}; starting fresh");
-                    None
+                    (None, None)
                 }
-            }
-        } else {
-            match self.manifest.as_ref() {
-                Some(path) => match Journal::load_resume_map(path) {
-                    Ok(map) => {
-                        if !map.is_empty() {
-                            eprintln!(
-                                "[scu-harness] resuming: {} cell(s) already journaled in {}",
-                                map.len(),
-                                path.display()
-                            );
-                        }
-                        // Digests cross-check re-run cells against what
-                        // the interrupted sweep observed (warn, or fail
-                        // under strict_resume).
-                        resume_digests = Journal::load_digest_map(path).ok();
-                        Some(map)
-                    }
-                    Err(e) => {
-                        eprintln!("[scu-harness] cannot resume: {e}; starting fresh");
-                        None
-                    }
-                },
-                None => None,
-            }
+            },
+            None => (None, None),
         };
-        // A fresh (non-resumed) sweep truncates any stale journal so
-        // it only ever describes this sweep's completions: the store
-        // does this logically (a new epoch), the file journal
-        // physically.
-        let journal = if unified {
-            let backend = cache.as_ref().expect("unified implies a cache").backend();
-            match backend.begin_sweep(self.resume) {
-                Ok(()) => {
-                    if !self.resume {
-                        if let Some(path) = self.manifest.as_deref().filter(|p| p.exists()) {
-                            // Also empty any leftover pre-migration
-                            // manifest so its stale entries cannot feed
-                            // a later resume.
-                            let _ = Journal::open(path, true);
-                        }
-                    }
-                    Some(Journal::from_store(backend))
-                }
-                Err(e) => {
-                    eprintln!("[scu-harness] cannot open manifest: {e}; running unjournaled");
-                    None
-                }
+        // A fresh (non-resumed) sweep starts a new epoch, so the
+        // journal only ever describes this sweep's completions while
+        // earlier values stay readable.
+        let journal = journal.filter(|journal| match journal.begin_sweep(self.resume) {
+            Ok(()) => true,
+            Err(e) => {
+                eprintln!("[scu-harness] cannot start the journal: {e}; running unjournaled");
+                false
             }
-        } else {
-            self.manifest
-                .as_ref()
-                .and_then(|path| match Journal::open(path, !self.resume) {
-                    Ok(j) => Some(j),
-                    Err(e) => {
-                        eprintln!("[scu-harness] cannot open manifest: {e}; running unjournaled");
-                        None
-                    }
-                })
-        };
+        });
         let mut progress = if self.narrate {
             Progress::stderr(graph.len())
         } else {
@@ -418,8 +367,8 @@ impl Harness {
             strict_resume: self.strict_resume,
         };
         let ctx = ExecContext {
-            cache: cache.as_ref(),
-            journal: journal.as_ref(),
+            cache,
+            journal,
             resume: resume_map.as_ref(),
             resume_digests: resume_digests.as_ref(),
             cancel: match (&self.cancel_flag, self.handle_sigint) {
@@ -455,6 +404,10 @@ mod tests {
             std::env::temp_dir().join(format!("scu-harness-lib-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    fn key(n: u64) -> Value {
+        Value::Object(vec![("cell".into(), Value::U64(n))])
     }
 
     fn cell_graph() -> JobGraph {
@@ -521,19 +474,27 @@ mod tests {
     }
 
     #[test]
-    fn manifest_then_resume_serves_journaled_cells() {
+    fn journal_then_resume_serves_journaled_cells() {
         let _sites = crate::failpoint::serial_store_sites();
         let dir = scratch("resume");
-        let manifest = dir.join("manifest.json");
+        let journal = dir.join("journal");
         let first = Harness::new()
             .jobs(2)
-            .manifest(&manifest)
+            .journal_dir(&journal)
             .run(&cell_graph());
         assert!(first.summary.all_done());
-        assert_eq!(journal::Journal::load(&manifest).unwrap().len(), 6);
+        assert_eq!(
+            open_store(&journal)
+                .unwrap()
+                .resume_state()
+                .unwrap()
+                .values
+                .len(),
+            6
+        );
         let resumed = Harness::new()
             .jobs(2)
-            .manifest(&manifest)
+            .journal_dir(&journal)
             .resume(true)
             .run(&cell_graph());
         assert!(resumed.summary.fully_cached(), "all cells pre-resolved");
@@ -544,19 +505,22 @@ mod tests {
                 .collect()
         };
         assert_eq!(values(&first), values(&resumed));
+        assert_eq!(resumed.cache_stats, StoreStats::default(), "no cache");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn fresh_sweep_truncates_stale_manifest() {
+    fn fresh_sweep_truncates_stale_journal() {
         let _sites = crate::failpoint::serial_store_sites();
         let dir = scratch("truncate");
-        let manifest = dir.join("manifest.json");
-        Harness::new().manifest(&manifest).run(&cell_graph());
+        let journal = dir.join("journal");
+        Harness::new().journal_dir(&journal).run(&cell_graph());
         let mut g = JobGraph::new();
         g.push(Job::new("only", || Value::U64(1)));
-        Harness::new().manifest(&manifest).run(&g);
-        assert_eq!(journal::Journal::load(&manifest).unwrap().len(), 1);
+        Harness::new().journal_dir(&journal).run(&g);
+        let state = open_store(&journal).unwrap().resume_state().unwrap();
+        assert_eq!(state.values.len(), 1);
+        assert_eq!(state.values.get("id:only"), Some(&Value::U64(1)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -564,10 +528,9 @@ mod tests {
     fn lsm_cache_unifies_the_journal_and_resumes_without_recompute() {
         let _sites = crate::failpoint::serial_store_sites();
         use std::sync::atomic::{AtomicU32, Ordering};
-        use std::sync::Arc;
         let dir = scratch("unified");
         let cache_dir = dir.join("cache");
-        let manifest = dir.join("manifest.json");
+        let journal = dir.join("journal");
         let runs = Arc::new(AtomicU32::new(0));
         let counted_graph = |runs: &Arc<AtomicU32>| -> JobGraph {
             let mut g = JobGraph::new();
@@ -590,19 +553,19 @@ mod tests {
         let first = Harness::new()
             .jobs(2)
             .cache_dir(&cache_dir)
-            .manifest(&manifest)
+            .journal_dir(&journal)
             .run(&counted_graph(&runs));
         assert!(first.summary.all_done());
         assert_eq!(runs.load(Ordering::SeqCst), 6);
         assert!(
-            !manifest.exists(),
-            "the store's WAL is the journal; no manifest file is written"
+            !journal.exists(),
+            "the cache store's WAL is the journal; no other store is opened"
         );
         assert!(cache_dir.join("CURRENT").exists(), "LSM layout in place");
         let resumed = Harness::new()
             .jobs(2)
             .cache_dir(&cache_dir)
-            .manifest(&manifest)
+            .journal_dir(&journal)
             .resume(true)
             .run(&counted_graph(&runs));
         assert!(resumed.summary.fully_cached(), "all cells pre-resolved");
@@ -614,62 +577,7 @@ mod tests {
                 .collect()
         };
         assert_eq!(values(&first), values(&resumed));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unified_resume_merges_a_leftover_legacy_manifest() {
-        let _sites = crate::failpoint::serial_store_sites();
-        let dir = scratch("unified-merge");
-        let cache_dir = dir.join("cache");
-        let manifest = dir.join("manifest.json");
-        // A pre-migration sweep left a line-JSON manifest behind.
-        let j = Journal::open(&manifest, true).unwrap();
-        j.append(&JournalEntry {
-            key: Some(Value::Object(vec![
-                ("cell".to_string(), Value::U64(0)),
-                ("model".to_string(), Value::Str("v1".into())),
-            ])),
-            id: "cell-0".into(),
-            value: Value::U64(100),
-            digest: None,
-        })
-        .unwrap();
-        drop(j);
-        let mut g = JobGraph::new();
-        let key = Value::Object(vec![
-            ("cell".to_string(), Value::U64(0)),
-            ("model".to_string(), Value::Str("v1".into())),
-        ]);
-        g.push(
-            Job::new("cell-0", || panic!("must be served from the journal")).with_cache_key(key),
-        );
-        let sweep = Harness::new()
-            .cache_dir(&cache_dir)
-            .manifest(&manifest)
-            .resume(true)
-            .run(&g);
-        assert!(sweep.summary.all_done());
-        assert_eq!(sweep.outcomes[0].value(), Some(&Value::U64(100)));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unified_fresh_sweep_empties_a_leftover_manifest() {
-        let _sites = crate::failpoint::serial_store_sites();
-        let dir = scratch("unified-truncate");
-        let cache_dir = dir.join("cache");
-        let manifest = dir.join("manifest.json");
-        Harness::new().manifest(&manifest).run(&cell_graph());
-        assert_eq!(Journal::load(&manifest).unwrap().len(), 6);
-        Harness::new()
-            .cache_dir(&cache_dir)
-            .manifest(&manifest)
-            .run(&cell_graph());
-        assert!(
-            Journal::load(&manifest).unwrap().is_empty(),
-            "stale pre-migration entries cannot feed a later resume"
-        );
+        assert!(!journal.exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -677,18 +585,93 @@ mod tests {
     fn shared_store_backend_is_used_for_caching() {
         let _sites = crate::failpoint::serial_store_sites();
         let dir = scratch("shared-backend");
-        let cache = ResultCache::open(&dir).unwrap();
+        let store: Arc<dyn ResultStore> = Arc::new(open_store(&dir).unwrap());
         let warmup = Harness::new()
-            .store_backend(cache.backend())
+            .store_backend(Arc::clone(&store))
             .run(&cell_graph());
         assert_eq!(warmup.cache_stats.stores, 6);
         let warm = Harness::new()
-            .store_backend(cache.backend())
+            .store_backend(Arc::clone(&store))
             .run(&cell_graph());
         assert!(warm.summary.fully_cached());
-        // Counters are store-wide: both sweeps hit the same backend.
-        assert_eq!(cache.stats().stores, 6);
-        assert_eq!(cache.stats().hits, 6);
+        // Counters are store-wide: both sweeps hit the same store.
+        assert_eq!(store.stats().stores, 6);
+        assert_eq!(store.stats().hits, 6);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn round_trips_and_counts() {
+        let _sites = crate::failpoint::serial_store_sites();
+        let dir = scratch("round-trip");
+        let store = open_store(&dir).unwrap();
+        assert_eq!(store.get(&key(1)), GetResult::Miss);
+        store.put(&key(1), &Value::Str("result".into())).unwrap();
+        assert_eq!(
+            store.get(&key(1)),
+            GetResult::Hit(Value::Str("result".into()))
+        );
+        let stats = store.stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.stores, stats.quarantined),
+            (1, 1, 1, 0)
+        );
+        assert_eq!(stats.quarantined_total, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn survives_reopen() {
+        let _sites = crate::failpoint::serial_store_sites();
+        let dir = scratch("reopen");
+        open_store(&dir)
+            .unwrap()
+            .put(&key(7), &Value::U64(42))
+            .unwrap();
+        let store = open_store(&dir).unwrap();
+        assert_eq!(store.get(&key(7)), GetResult::Hit(Value::U64(42)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn injected_load_fault_misses_without_quarantine() {
+        let _sites = crate::failpoint::serial_store_sites();
+        let dir = scratch("fp-load");
+        let store = open_store(&dir).unwrap();
+        store.put(&key(5), &Value::U64(5)).unwrap();
+        {
+            let _fp = crate::failpoint::scoped("cache-load=io-error");
+            assert_eq!(store.get(&key(5)), GetResult::Miss, "injected IO error");
+        }
+        assert_eq!(store.stats().quarantined, 0, "nothing was actually corrupt");
+        assert_eq!(store.get(&key(5)), GetResult::Hit(Value::U64(5)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn injected_store_faults_are_errors_and_skip_the_write() {
+        let _sites = crate::failpoint::serial_store_sites();
+        let dir = scratch("fp-store");
+        let store = open_store(&dir).unwrap();
+        store.begin_sweep(false).unwrap();
+        {
+            let _fp = crate::failpoint::scoped("cache-store=io-error");
+            assert!(store.put(&key(6), &Value::U64(6)).is_err());
+        }
+        {
+            let _fp = crate::failpoint::scoped("journal-append=io-error");
+            let rec = scu_store::JournalRecord {
+                key: Some(key(6)),
+                id: "cell-6".into(),
+                value: Value::U64(6),
+                digest: None,
+            };
+            assert!(store.journal_append(&rec).is_err());
+        }
+        assert_eq!(store.stats().stores, 0);
+        assert_eq!(store.stats().wal_appends, 1, "only the sweep boundary");
+        assert_eq!(store.get(&key(6)), GetResult::Miss);
+        assert!(store.resume_state().unwrap().values.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -5,9 +5,9 @@
 //! guarantees each unique cell is computed **at most once** regardless
 //! of how many sweeps want it:
 //!
-//! 1. **Cache dedup** — a cell already in the on-disk
-//!    [`ResultCache`] resolves at submission time without touching the
-//!    queue (`cache_hits`).
+//! 1. **Cache dedup** — a cell already in the on-disk result store
+//!    resolves at submission time without touching the queue
+//!    (`cache_hits`).
 //! 2. **In-flight coalescing** — a cell already queued or running
 //!    attaches the new sweep as a waiter on the existing computation
 //!    (`coalesced`); only genuinely new cells are scheduled
@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use scu_algos::cell::Cell;
 use scu_algos::experiment::{plan_cells, ExperimentConfig, ALL_MODES};
 use scu_harness::error::lock_unpoisoned;
-use scu_harness::{CliArgs, Harness, Job, JobGraph, Outcome, ProgressEvent, ResultCache};
+use scu_harness::{CliArgs, Harness, Job, JobGraph, Outcome, ProgressEvent, ResultStore};
 use serde_json::Value;
 
 /// Everything the scheduler needs to build its matrix and harness.
@@ -56,8 +56,10 @@ pub struct SchedulerConfig {
     pub retries: u32,
     /// On-disk result cache; `None` disables dedup-by-cache.
     pub cache_dir: Option<PathBuf>,
-    /// Completion journal; `None` disables warm restarts.
-    pub manifest: Option<PathBuf>,
+    /// Where completions are journaled when no cache is mounted (with
+    /// one, its write-ahead log is the journal); `None` disables
+    /// journaling and warm restarts.
+    pub journal_dir: Option<PathBuf>,
     /// Admission cap: submissions are rejected (HTTP 429) while this
     /// many cells are already queued for the dispatcher. The running
     /// batch does not count — only the backlog behind it.
@@ -82,7 +84,7 @@ impl SchedulerConfig {
             retries: args.retries,
             cache_dir: (!args.no_cache)
                 .then(|| PathBuf::from(scu_harness::session::DEFAULT_CACHE_DIR)),
-            manifest: Some(PathBuf::from(scu_harness::session::DEFAULT_MANIFEST)),
+            journal_dir: Some(PathBuf::from(scu_harness::session::DEFAULT_JOURNAL_DIR)),
             max_pending_cells: DEFAULT_MAX_PENDING_CELLS,
             max_retained_sweeps: DEFAULT_MAX_RETAINED_SWEEPS,
         }
@@ -453,7 +455,7 @@ pub struct Scheduler {
     cfg: SchedulerConfig,
     /// id → cell for the full matrix this server serves.
     catalog: HashMap<String, Cell>,
-    cache: Option<ResultCache>,
+    cache: Option<Arc<dyn ResultStore>>,
     inner: Mutex<Inner>,
     /// Wakes the dispatcher when cells are queued or shutdown begins.
     wake: Condvar,
@@ -474,8 +476,8 @@ impl Scheduler {
         let cache = cfg
             .cache_dir
             .as_ref()
-            .and_then(|dir| match ResultCache::open(dir) {
-                Ok(c) => Some(c),
+            .and_then(|dir| match scu_harness::open_store(dir) {
+                Ok(store) => Some(Arc::new(store) as Arc<dyn ResultStore>),
                 Err(e) => {
                     eprintln!(
                         "[scu-server] cannot open cache at {}: {e}; serving uncached",
@@ -587,7 +589,11 @@ impl Scheduler {
         // Disk reads happen outside the scheduler lock.
         let cached: Vec<Option<Value>> = cells
             .iter()
-            .map(|cell| self.cache.as_ref().and_then(|c| c.load(&cell.cache_key())))
+            .map(|cell| {
+                self.cache
+                    .as_ref()
+                    .and_then(|c| c.get(&cell.cache_key()).hit())
+            })
             .collect();
 
         let (sweep, resolutions) = {
@@ -915,17 +921,17 @@ impl Scheduler {
             // single-writer per directory, and sharing keeps
             // submission-time hits and batch-time stores on one set
             // of counters.
-            Some(cache) => harness = harness.store_backend(cache.backend()),
+            Some(cache) => harness = harness.store_backend(Arc::clone(cache)),
             None => {
                 if let Some(dir) = &self.cfg.cache_dir {
                     harness = harness.cache_dir(dir.clone());
                 }
             }
         }
-        if let Some(manifest) = &self.cfg.manifest {
+        if let Some(dir) = &self.cfg.journal_dir {
             // Always resume: the journal accumulates across batches and
             // daemon restarts, so completed cells never recompute.
-            harness = harness.manifest(manifest.clone()).resume(true);
+            harness = harness.journal_dir(dir.clone()).resume(true);
         }
         let sweep = harness.run(&graph);
         // A drained batch never reports its last completion; book it
@@ -998,7 +1004,7 @@ impl Scheduler {
         Ok(self
             .cache
             .as_ref()
-            .and_then(|c| c.load_text(&cell.cache_key())))
+            .and_then(|c| c.get_text(&cell.cache_key()).hit()))
     }
 
     /// A snapshot of the scheduling counters.
@@ -1015,13 +1021,8 @@ impl Scheduler {
         } else {
             0.0
         };
-        let cache_stats = self.cache.as_ref().map(|c| c.stats()).unwrap_or_default();
+        let store_stats = self.cache.as_ref().map(|c| c.stats()).unwrap_or_default();
         let graph_stats = scu_algos::graph_artifact::stats();
-        let store_stats = self
-            .cache
-            .as_ref()
-            .map(|c| c.store_stats())
-            .unwrap_or_default();
         let load = Self::load_state_of(&inner, self.cfg.max_pending_cells);
         Value::Object(vec![
             (
@@ -1053,19 +1054,15 @@ impl Scheduler {
             ("batches".to_string(), Value::U64(c.batches)),
             (
                 "cache_loads".to_string(),
-                Value::U64(cache_stats.hits + cache_stats.misses),
+                Value::U64(store_stats.hits + store_stats.misses),
             ),
             (
                 "quarantined".to_string(),
-                Value::U64(cache_stats.quarantined),
+                Value::U64(store_stats.quarantined),
             ),
             (
                 "quarantined_total".to_string(),
-                Value::U64(cache_stats.quarantined_total),
-            ),
-            (
-                "store_backend".to_string(),
-                Value::Str(store_stats.backend.to_string()),
+                Value::U64(store_stats.quarantined_total),
             ),
             (
                 "wal_appends".to_string(),

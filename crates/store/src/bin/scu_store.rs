@@ -1,26 +1,23 @@
-//! `scu_store` — inspect and migrate result-store directories.
+//! `scu_store` — inspect a result-store directory.
 //!
 //! ```text
-//! scu_store migrate --from DIR --to DIR [--manifest FILE]
 //! scu_store stat DIR
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use scu_store::{migrate, open_dir};
+use scu_store::lsm::Survey;
+use scu_store::quarantine;
 
 const USAGE: &str = "usage:
-  scu_store migrate --from DIR --to DIR [--manifest FILE]
-      convert a legacy per-file cache (and optionally its line
-      journal) into an LSM store; the source is never modified
   scu_store stat DIR
-      show which backend a directory holds and its counters";
+      show a store's contents and what opening it would repair,
+      without changing the directory";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("migrate") => run_migrate(&args[1..]),
         Some("stat") => run_stat(&args[1..]),
         Some("--help" | "-h") | None => {
             println!("{USAGE}");
@@ -33,82 +30,62 @@ fn main() -> ExitCode {
     }
 }
 
-fn run_migrate(args: &[String]) -> ExitCode {
-    let mut from = None;
-    let mut to = None;
-    let mut manifest = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |slot: &mut Option<PathBuf>| match it.next() {
-            Some(v) => {
-                *slot = Some(PathBuf::from(v));
-                true
-            }
-            None => false,
-        };
-        let ok = match arg.as_str() {
-            "--from" => take(&mut from),
-            "--to" => take(&mut to),
-            "--manifest" => take(&mut manifest),
-            other => {
-                eprintln!("scu_store migrate: unexpected argument '{other}'\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        };
-        if !ok {
-            eprintln!("scu_store migrate: {arg} needs a value\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    }
-    let (Some(from), Some(to)) = (from, to) else {
-        eprintln!("scu_store migrate: --from and --to are required\n{USAGE}");
-        return ExitCode::from(2);
-    };
-    match migrate::migrate(&from, &to, manifest.as_deref()) {
-        Ok(report) => {
-            println!(
-                "migrated {} entries ({} journaled, {} skipped) from {} to {}",
-                report.entries,
-                report.journaled,
-                report.skipped,
-                from.display(),
-                to.display()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("scu_store migrate: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn run_stat(args: &[String]) -> ExitCode {
     let [dir] = args else {
         eprintln!("scu_store stat: exactly one directory expected\n{USAGE}");
         return ExitCode::from(2);
     };
     let dir = PathBuf::from(dir);
-    match open_dir(&dir, None) {
-        Ok(store) => {
-            let stats = store.stats();
-            println!("dir:                  {}", dir.display());
-            println!("backend:              {}", stats.backend);
-            println!("unified journal:      {}", store.unified_journal());
-            println!("quarantined (kept):   {}", stats.quarantined_total);
-            if stats.backend == "lsm" {
-                println!("recovered records:    {}", stats.recovered_records);
-                println!("truncated tail bytes: {}", stats.truncated_tail_bytes);
-            }
-            match store.resume_state() {
-                Ok(state) => println!("resumable cells:      {}", state.values.len()),
-                Err(e) => println!("resumable cells:      unreadable ({e})"),
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("scu_store stat: cannot open {}: {e}", dir.display());
-            ExitCode::FAILURE
-        }
+    if !dir.is_dir() {
+        eprintln!("scu_store stat: {} is not a directory", dir.display());
+        return ExitCode::FAILURE;
     }
+    let survey = match Survey::read(&dir) {
+        Ok(survey) => survey,
+        Err(e) => {
+            eprintln!("scu_store stat: cannot read {}: {e}", dir.display());
+            return ExitCode::FAILURE;
+        }
+    };
+    println!("dir:                  {}", dir.display());
+    println!("live segments:        {}", survey.segment_count());
+    println!("wal records:          {}", survey.wal.records.len());
+    println!(
+        "resumable cells:      {}",
+        survey.resume_state().values.len()
+    );
+    println!(
+        "quarantined (kept):   {}",
+        quarantine::retained(&dir.join("quarantine"))
+    );
+    println!(
+        "torn wal tail bytes:  {} (open would cut them)",
+        survey.wal.truncated_tail_bytes
+    );
+    println!(
+        "stray segments:       {} (open would delete them)",
+        survey.strays.len()
+    );
+    for path in &survey.strays {
+        println!("  {}", path.display());
+    }
+    if survey.wal.foreign {
+        println!("foreign wal.log:      not a write-ahead log (open would quarantine it)");
+    }
+    if let Some(reason) = &survey.corrupt_manifest {
+        println!("corrupt CURRENT:      {reason} (open would quarantine it and rebuild by scan)");
+    }
+    for (path, reason) in &survey.corrupt_segments {
+        println!(
+            "corrupt segment:      {} {reason} (open would quarantine it)",
+            path.display()
+        );
+    }
+    for path in &survey.missing_segments {
+        println!(
+            "missing segment:      {} (open would drop it)",
+            path.display()
+        );
+    }
+    ExitCode::SUCCESS
 }

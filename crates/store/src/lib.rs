@@ -4,31 +4,23 @@
 //! One trait, [`ResultStore`], captures the contract the harness and
 //! server rely on — content-addressed get/put keyed by canonical JSON,
 //! corruption is quarantined and reported as a miss (never served),
-//! journal appends give crash-resume — and two backends implement it:
-//!
-//! - [`LsmStore`] (the default): an LSM-lite layout where a CRC-framed
-//!   write-ahead log doubles as the journal, immutable sorted segments
-//!   are memory-mapped for zero-copy point reads, a `CURRENT` manifest
-//!   is swapped atomically, and background compaction merges segments
-//!   without blocking readers or writers.
-//! - [`LegacyStore`]: the historical one-JSON-blob-per-entry directory
-//!   plus line-JSON journal, kept byte-compatible so existing result
-//!   directories remain readable and `scu_store migrate` can convert
-//!   them.
-//!
-//! [`open_dir`] auto-detects which layout a directory holds.
+//! journal appends give crash-resume — and [`LsmStore`] implements it:
+//! an LSM-lite layout where a CRC-framed write-ahead log doubles as the
+//! journal, immutable sorted segments are memory-mapped for zero-copy
+//! point reads, a `CURRENT` manifest is swapped atomically, and
+//! background compaction merges segments without blocking readers or
+//! writers.
 //!
 //! The crate deliberately depends only on the workspace's vendored
 //! `serde_json` — no external crates — and hosts the stable hashing
-//! ([`stable_digest`]) that both backends and the harness share.
+//! ([`hash`]) that addresses store records and verifies graph
+//! artifacts.
 
 pub mod crc;
 pub mod failpoints;
 pub mod hash;
-pub mod legacy;
 pub mod lsm;
 pub mod manifest;
-pub mod migrate;
 pub mod mmap;
 pub mod quarantine;
 pub mod record;
@@ -38,12 +30,10 @@ pub mod wal;
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use serde_json::Value;
 
 pub use hash::{stable_addr, stable_digest};
-pub use legacy::LegacyStore;
 pub use lsm::{LsmOptions, LsmStore};
 pub use record::JournalRecord;
 
@@ -69,6 +59,15 @@ impl<T> GetResult<T> {
             GetResult::Corrupt => GetResult::Corrupt,
         }
     }
+
+    /// The hit, if any: callers that recompute on a miss treat
+    /// corruption the same way.
+    pub fn hit(self) -> Option<T> {
+        match self {
+            GetResult::Hit(v) => Some(v),
+            GetResult::Miss | GetResult::Corrupt => None,
+        }
+    }
 }
 
 /// Everything a resumed sweep needs from the journal: completed values
@@ -81,9 +80,7 @@ pub struct ResumeState {
     pub digests: HashMap<String, u64>,
 }
 
-/// Counters a backend exposes for `/metrics` and sweep summaries.
-///
-/// Legacy backends leave the LSM-specific fields at zero.
+/// Counters a store exposes for `/metrics` and sweep summaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
     /// Verified cache hits.
@@ -106,15 +103,13 @@ pub struct StoreStats {
     pub recovered_records: u64,
     /// Bytes cut off a torn WAL tail at open.
     pub truncated_tail_bytes: u64,
-    /// Which backend produced these numbers.
-    pub backend: &'static str,
 }
 
 /// The single persistence seam: result cache + sweep journal.
 ///
 /// Implementations are internally synchronised — one instance is
 /// shared across worker threads (and, in the server, across batches).
-/// The contract every backend upholds:
+/// The contract:
 ///
 /// - `get` never returns bytes that failed verification; corruption is
 ///   quarantined (kept for post-mortem, bounded by a cap) and surfaces
@@ -132,28 +127,14 @@ pub trait ResultStore: Send + Sync + std::fmt::Debug {
     /// Where corrupt entries are kept for post-mortem.
     fn quarantine_dir(&self) -> PathBuf;
 
-    /// A short name for summaries and `/metrics` (`"lsm"`, `"legacy"`).
-    fn backend_name(&self) -> &'static str;
-
-    /// Whether this backend journals through the store itself (the WAL
-    /// *is* the journal). When false, the harness keeps writing its
-    /// classic line-JSON manifest file alongside the cache.
-    fn unified_journal(&self) -> bool {
-        false
-    }
-
     /// Looks up the value stored for `key`.
     fn get(&self, key: &Value) -> GetResult;
 
     /// Looks up the value stored for `key` as its canonical JSON text —
     /// exactly what `serde_json::to_string` prints for [`ResultStore::get`]'s
-    /// value — under the same verification, quarantine and counters.
-    /// The default re-encodes `get`'s value; a backend that keeps the
-    /// canonical text on disk returns it without the round trip.
-    fn get_text(&self, key: &Value) -> GetResult<String> {
-        self.get(key)
-            .map(|v| serde_json::to_string(&v).expect("serialising a Value cannot fail"))
-    }
+    /// value — under the same verification, quarantine and counters,
+    /// without re-encoding it.
+    fn get_text(&self, key: &Value) -> GetResult<String>;
 
     /// Stores `value` under `key`.
     ///
@@ -191,50 +172,13 @@ pub trait ResultStore: Send + Sync + std::fmt::Debug {
     /// Current counters.
     fn stats(&self) -> StoreStats;
 
-    /// Forces buffered state durable (for the LSM backend, flushes the
-    /// memtable into a segment).
+    /// Forces buffered state durable (flushes the memtable into a
+    /// segment).
     ///
     /// # Errors
     ///
     /// Returns IO failures from the flush.
     fn flush(&self) -> io::Result<()>;
-}
-
-/// Opens the store at `dir`, auto-detecting the layout:
-///
-/// - a `CURRENT` manifest means LSM;
-/// - otherwise any `*.json` blob directly in the directory means the
-///   legacy per-file layout (pass `legacy_manifest` to also serve its
-///   line journal through the trait);
-/// - an empty or missing directory gets a fresh LSM store.
-///
-/// # Errors
-///
-/// Returns IO errors from opening the detected backend.
-pub fn open_dir(
-    dir: impl Into<PathBuf>,
-    legacy_manifest: Option<PathBuf>,
-) -> io::Result<Arc<dyn ResultStore>> {
-    let dir = dir.into();
-    if dir.join(manifest::CURRENT).exists() {
-        return Ok(Arc::new(LsmStore::open(dir)?));
-    }
-    let has_blobs = std::fs::read_dir(&dir)
-        .map(|entries| {
-            entries.filter_map(Result::ok).any(|e| {
-                e.path().extension().is_some_and(|ext| ext == "json")
-                    && e.file_type().map(|t| t.is_file()).unwrap_or(false)
-            })
-        })
-        .unwrap_or(false);
-    if has_blobs {
-        let mut store = LegacyStore::open(dir)?;
-        if let Some(path) = legacy_manifest {
-            store = store.with_manifest(path);
-        }
-        return Ok(Arc::new(store));
-    }
-    Ok(Arc::new(LsmStore::open(dir)?))
 }
 
 #[cfg(test)]
@@ -252,78 +196,45 @@ mod tests {
     }
 
     #[test]
-    fn fresh_directories_get_the_lsm_backend() {
-        let dir = scratch("fresh");
-        let store = open_dir(&dir, None).unwrap();
-        assert_eq!(store.backend_name(), "lsm");
-        assert!(store.unified_journal());
-        // And a reopen sticks with it.
-        store.put(&key(1), &Value::U64(1)).unwrap();
+    fn blob_directories_open_as_a_fresh_store() {
+        // A directory of loose `<digest>.json` blobs, the per-file
+        // layout stores used to write, is not read: it opens empty,
+        // the blobs are left alone, and what the store writes sticks.
+        let dir = scratch("blobs");
+        std::fs::create_dir_all(&dir).unwrap();
+        let blob = dir.join(format!("{}.json", stable_digest(b"{\"cell\":1}")));
+        std::fs::write(&blob, r#"{"key":{"cell":1},"value":1,"check":"x"}"#).unwrap();
+        let store = LsmStore::open(&dir).unwrap();
+        assert_eq!(store.get(&key(1)), GetResult::Miss);
+        assert!(store.resume_state().unwrap().values.is_empty());
+        store.put(&key(1), &Value::U64(10)).unwrap();
         store.flush().unwrap();
         drop(store);
-        let store = open_dir(&dir, None).unwrap();
-        assert_eq!(store.backend_name(), "lsm");
-        assert!(matches!(store.get(&key(1)), GetResult::Hit(Value::U64(1))));
+        let store = LsmStore::open(&dir).unwrap();
+        assert_eq!(store.get(&key(1)), GetResult::Hit(Value::U64(10)));
+        assert!(blob.exists(), "foreign files are not the store's to delete");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn blob_directories_get_the_legacy_backend() {
-        let dir = scratch("blobs");
-        {
-            let legacy = LegacyStore::open(&dir).unwrap();
-            legacy.put(&key(7), &Value::U64(70)).unwrap();
-        }
-        let store = open_dir(&dir, None).unwrap();
-        assert_eq!(store.backend_name(), "legacy");
-        assert!(!store.unified_journal());
-        assert!(matches!(store.get(&key(7)), GetResult::Hit(Value::U64(70))));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn current_manifest_wins_over_stray_json() {
-        let dir = scratch("mixed");
-        {
-            let store = LsmStore::open(&dir).unwrap();
-            store.put(&key(1), &Value::U64(1)).unwrap();
-            store.flush().unwrap();
-        }
-        // A stray .json (e.g. a half-migrated blob) must not flip the
-        // detection back to legacy.
-        std::fs::write(dir.join("stray.json"), "{}").unwrap();
-        let store = open_dir(&dir, None).unwrap();
-        assert_eq!(store.backend_name(), "lsm");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn get_text_is_the_canonical_encoding_on_both_backends() {
+    fn get_text_is_the_canonical_encoding() {
         let value = Value::Object(vec![
             ("time_ns".into(), Value::F64(1.0)),
             ("label".into(), Value::Str("BFS/kron \"q\"".into())),
         ]);
-        let stores: [Arc<dyn ResultStore>; 2] = [
-            Arc::new(LsmStore::open(scratch("text-lsm")).unwrap()),
-            Arc::new(LegacyStore::open(scratch("text-legacy")).unwrap()),
-        ];
-        for store in stores {
-            assert_eq!(store.get_text(&key(1)), GetResult::Miss);
-            store.put(&key(1), &value).unwrap();
-            assert_eq!(
-                store.get_text(&key(1)),
-                GetResult::Hit(serde_json::to_string(&value).unwrap()),
-                "{}",
-                store.backend_name()
-            );
-            let _ = std::fs::remove_dir_all(store.dir());
-        }
+        let store = LsmStore::open(scratch("text")).unwrap();
+        assert_eq!(store.get_text(&key(1)), GetResult::Miss);
+        store.put(&key(1), &value).unwrap();
+        assert_eq!(
+            store.get_text(&key(1)),
+            GetResult::Hit(serde_json::to_string(&value).unwrap())
+        );
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]
     fn stats_default_is_all_zero() {
         let stats = StoreStats::default();
         assert_eq!(stats.hits + stats.misses + stats.stores, 0);
-        assert_eq!(stats.backend, "");
     }
 }

@@ -30,7 +30,7 @@
 //! time (the harness and server already guarantee this). Concurrent
 //! *threads* in that process are fully supported.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -43,7 +43,7 @@ use crate::manifest::{segment_file_name, Manifest, CURRENT};
 use crate::quarantine;
 use crate::record::{JournalRecord, Record, RecordKind};
 use crate::segment::Segment;
-use crate::wal::Wal;
+use crate::wal::{Wal, WalRecovery};
 use crate::{GetResult, ResultStore, ResumeState, StoreStats};
 
 /// Tuning knobs; the defaults suit sweep workloads.
@@ -136,7 +136,7 @@ struct Shared {
     // Lock order: `inner` before `view` before `poisoned`.
     inner: Mutex<Inner>,
     view: Mutex<Arc<Vec<Arc<Segment>>>>,
-    poisoned: Mutex<std::collections::HashSet<u128>>,
+    poisoned: Mutex<HashSet<u128>>,
     epoch: AtomicU64,
     counters: Counters,
     compacting: AtomicBool,
@@ -161,7 +161,8 @@ impl LsmStore {
         Self::open_with(dir, LsmOptions::default())
     }
 
-    /// Opens with explicit [`LsmOptions`].
+    /// Opens with explicit [`LsmOptions`]: a [`Survey`] of the
+    /// directory, then the repairs it calls for.
     ///
     /// # Errors
     ///
@@ -169,110 +170,64 @@ impl LsmStore {
     pub fn open_with(dir: impl Into<PathBuf>, opts: LsmOptions) -> io::Result<LsmStore> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
+        let survey = Survey::read(&dir)?;
         let qdir = dir.join("quarantine");
         let counters = Counters::default();
-
-        // 1. The manifest: load, or quarantine + rebuild by scan.
-        let current = dir.join(CURRENT);
-        let (mut manifest, rebuilt) = match Manifest::load(&current) {
-            Ok(Some(m)) => (m, false),
-            Ok(None) => (
-                Manifest {
-                    epoch: 0,
-                    next_segment: 1,
-                    segments: Vec::new(),
-                },
-                false,
-            ),
-            Err(e) => {
-                eprintln!(
-                    "[scu-store] corrupt manifest at {}: {e}; rebuilding from directory",
-                    current.display()
-                );
-                counters.quarantined.fetch_add(1, Ordering::Relaxed);
-                let _ = quarantine::quarantine_move(&qdir, &current, opts.quarantine_cap);
-                (Manifest::rebuild_from_dir(&dir), true)
+        let set_aside = |path: &Path| {
+            counters.quarantined.fetch_add(1, Ordering::Relaxed);
+            if quarantine::quarantine_move(&qdir, path, opts.quarantine_cap).is_err() {
+                let _ = std::fs::remove_file(path);
             }
         };
 
-        // 2. Open the live segments; quarantine files that fail
-        //    structural validation, delete strays from interrupted
-        //    flushes.
-        let mut segments: Vec<Arc<Segment>> = Vec::new();
-        let mut kept = Vec::new();
-        for name in &manifest.segments {
-            let path = dir.join(name);
-            match Segment::open(&path) {
-                Ok(seg) => {
-                    segments.push(Arc::new(seg));
-                    kept.push(name.clone());
-                }
-                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                    eprintln!(
-                        "[scu-store] quarantined corrupt segment {} ({e})",
-                        path.display()
-                    );
-                    counters.quarantined.fetch_add(1, Ordering::Relaxed);
-                    let _ = quarantine::quarantine_move(&qdir, &path, opts.quarantine_cap);
-                }
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                    eprintln!("[scu-store] missing segment {}; dropped", path.display());
-                }
-                Err(e) => return Err(e),
-            }
+        let current = dir.join(CURRENT);
+        if let Some(reason) = &survey.corrupt_manifest {
+            eprintln!(
+                "[scu-store] corrupt manifest at {}: {reason}; rebuilding from directory",
+                current.display()
+            );
+            set_aside(&current);
         }
-        let manifest_changed = rebuilt || kept.len() != manifest.segments.len();
-        manifest.segments = kept;
-        if let Ok(entries) = std::fs::read_dir(&dir) {
-            for entry in entries.filter_map(Result::ok) {
-                let name = entry.file_name().to_str().unwrap_or_default().to_string();
-                if crate::manifest::parse_segment_id(&name).is_some()
-                    && !manifest.segments.contains(&name)
-                {
-                    let _ = std::fs::remove_file(entry.path());
-                }
-            }
+        for (path, reason) in &survey.corrupt_segments {
+            eprintln!(
+                "[scu-store] quarantined corrupt segment {} ({reason})",
+                path.display()
+            );
+            set_aside(path);
         }
-
-        // 3. The WAL: recover the intact prefix, truncate the tail.
-        let (wal, recovery) = Wal::open(&dir.join("wal.log"), &qdir, opts.quarantine_cap)?;
+        for path in &survey.missing_segments {
+            eprintln!("[scu-store] missing segment {}; dropped", path.display());
+        }
+        for path in &survey.strays {
+            let _ = std::fs::remove_file(path);
+        }
+        let wal = Wal::open(&dir.join(WAL_FILE), &survey.wal, &qdir, opts.quarantine_cap)?;
         counters
             .recovered_records
-            .fetch_add(recovery.records.len() as u64, Ordering::Relaxed);
+            .fetch_add(survey.wal.records.len() as u64, Ordering::Relaxed);
         counters
             .truncated_tail_bytes
-            .fetch_add(recovery.truncated_tail_bytes, Ordering::Relaxed);
-        if recovery.quarantined_file {
+            .fetch_add(survey.wal.truncated_tail_bytes, Ordering::Relaxed);
+        if survey.wal.foreign {
             counters.quarantined.fetch_add(1, Ordering::Relaxed);
         }
-
-        // 4. Rebuild the memtable and the current epoch.
-        let mut epoch = manifest.epoch;
-        if rebuilt {
-            for seg in &segments {
-                for (_, rec) in seg.iter() {
-                    if let Ok(rec) = rec {
-                        epoch = epoch.max(rec.epoch);
-                    }
-                }
-            }
-        }
-        let mut mem: HashMap<u128, MemRec> = HashMap::new();
-        for rec in &recovery.records {
-            epoch = epoch.max(rec.epoch);
-            if rec.kind == RecordKind::Epoch {
-                continue;
-            }
-            mem.entry(rec.addr()).or_default().absorb(rec);
-        }
-        // Persist the manifest when it changed — and always on first
-        // open, so the directory self-identifies as an LSM store (the
-        // `CURRENT` file is what `open_dir` auto-detection keys on)
-        // even before the first flush writes a segment.
+        // Persist the manifest when the survey changed it, and on first
+        // open, so even a store that has never flushed names itself
+        // with a `CURRENT` file.
+        let manifest_changed = survey.corrupt_manifest.is_some()
+            || !survey.corrupt_segments.is_empty()
+            || !survey.missing_segments.is_empty();
         if manifest_changed || !current.exists() {
-            manifest.store(&current)?;
+            survey.manifest.store(&current)?;
         }
 
+        let Survey {
+            manifest,
+            segments,
+            mem,
+            epoch,
+            ..
+        } = survey;
         let flush_now = mem.len() >= opts.flush_records;
         let store = LsmStore {
             shared: Arc::new(Shared {
@@ -281,7 +236,7 @@ impl LsmStore {
                 wal,
                 inner: Mutex::new(Inner { mem, manifest }),
                 view: Mutex::new(Arc::new(segments)),
-                poisoned: Mutex::new(std::collections::HashSet::new()),
+                poisoned: Mutex::new(HashSet::new()),
                 epoch: AtomicU64::new(epoch),
                 counters,
                 compacting: AtomicBool::new(false),
@@ -524,6 +479,139 @@ impl LsmStore {
     }
 }
 
+/// The write-ahead log's filename inside a store directory.
+const WAL_FILE: &str = "wal.log";
+
+/// A store directory as found on disk, read without changing a byte of
+/// it: the first half of [`LsmStore::open_with`], and all that
+/// `scu_store stat` does. The public fields name the repairs an open
+/// would make.
+#[derive(Debug)]
+pub struct Survey {
+    /// Why `CURRENT` failed its self-check. The segment list was then
+    /// rebuilt by directory scan; open quarantines the file.
+    pub corrupt_manifest: Option<String>,
+    /// Live segments that fail structural validation, with the reason;
+    /// open quarantines them.
+    pub corrupt_segments: Vec<(PathBuf, String)>,
+    /// Segments `CURRENT` names that do not exist; open drops them
+    /// from the list.
+    pub missing_segments: Vec<PathBuf>,
+    /// Segment files no manifest names — leftovers of an interrupted
+    /// flush or compaction; open deletes them.
+    pub strays: Vec<PathBuf>,
+    /// The write-ahead log's intact prefix and torn tail; open cuts
+    /// the tail.
+    pub wal: WalRecovery,
+    manifest: Manifest,
+    segments: Vec<Arc<Segment>>,
+    mem: HashMap<u128, MemRec>,
+    epoch: u64,
+}
+
+impl Survey {
+    /// Reads the store at `dir`: its manifest, live segments and WAL.
+    /// A missing directory reads as an empty store.
+    ///
+    /// # Errors
+    ///
+    /// Returns IO errors other than the corruption a survey reports
+    /// (an unreadable WAL, a segment that cannot be mapped).
+    pub fn read(dir: &Path) -> io::Result<Survey> {
+        // 1. The manifest, or a rebuild by scan when it is corrupt.
+        let (mut manifest, corrupt_manifest) = match Manifest::load(&dir.join(CURRENT)) {
+            Ok(Some(m)) => (m, None),
+            Ok(None) => (
+                Manifest {
+                    epoch: 0,
+                    next_segment: 1,
+                    segments: Vec::new(),
+                },
+                None,
+            ),
+            Err(e) => (Manifest::rebuild_from_dir(dir), Some(e.to_string())),
+        };
+
+        // 2. The live segments, and segment files nothing names.
+        let mut segments: Vec<Arc<Segment>> = Vec::new();
+        let mut corrupt_segments = Vec::new();
+        let mut missing_segments = Vec::new();
+        let mut kept = Vec::new();
+        for name in &manifest.segments {
+            let path = dir.join(name);
+            match Segment::open(&path) {
+                Ok(seg) => {
+                    segments.push(Arc::new(seg));
+                    kept.push(name.clone());
+                }
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                    corrupt_segments.push((path, e.to_string()));
+                }
+                Err(e) if e.kind() == io::ErrorKind::NotFound => missing_segments.push(path),
+                Err(e) => return Err(e),
+            }
+        }
+        let mut strays = Vec::new();
+        if let Ok(entries) = std::fs::read_dir(dir) {
+            for entry in entries.filter_map(Result::ok) {
+                let name = entry.file_name().to_str().unwrap_or_default().to_string();
+                if crate::manifest::parse_segment_id(&name).is_some()
+                    && !manifest.segments.contains(&name)
+                {
+                    strays.push(entry.path());
+                }
+            }
+        }
+        strays.sort();
+        manifest.segments = kept;
+
+        // 3. The WAL's intact prefix.
+        let wal = WalRecovery::scan(&dir.join(WAL_FILE))?;
+
+        // 4. The memtable and the current epoch.
+        let mut epoch = manifest.epoch;
+        if corrupt_manifest.is_some() {
+            for seg in &segments {
+                for (_, rec) in seg.iter() {
+                    if let Ok(rec) = rec {
+                        epoch = epoch.max(rec.epoch);
+                    }
+                }
+            }
+        }
+        let mut mem: HashMap<u128, MemRec> = HashMap::new();
+        for rec in &wal.records {
+            epoch = epoch.max(rec.epoch);
+            if rec.kind == RecordKind::Epoch {
+                continue;
+            }
+            mem.entry(rec.addr()).or_default().absorb(rec);
+        }
+        Ok(Survey {
+            corrupt_manifest,
+            corrupt_segments,
+            missing_segments,
+            strays,
+            wal,
+            manifest,
+            segments,
+            mem,
+            epoch,
+        })
+    }
+
+    /// Number of live segments.
+    pub fn segment_count(&self) -> usize {
+        self.segments.len()
+    }
+
+    /// The cells an open store would offer `--resume`, by the same
+    /// merge as [`ResultStore::resume_state`].
+    pub fn resume_state(&self) -> ResumeState {
+        journaled_at(&self.segments, &self.mem, self.epoch, &HashSet::new())
+    }
+}
+
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
@@ -654,14 +742,6 @@ impl ResultStore for LsmStore {
 
     fn quarantine_dir(&self) -> PathBuf {
         self.shared.dir.join("quarantine")
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "lsm"
-    }
-
-    fn unified_journal(&self) -> bool {
-        true
     }
 
     fn get(&self, key: &Value) -> GetResult {
@@ -795,52 +875,15 @@ impl ResultStore for LsmStore {
 
     fn resume_state(&self) -> io::Result<ResumeState> {
         let shared = &self.shared;
-        let current = shared.epoch.load(Ordering::Relaxed);
-        let mut merged: HashMap<u128, MemRec> = HashMap::new();
-        for seg in self.snapshot().iter() {
-            for (addr, rec) in seg.iter() {
-                if let Ok(rec) = rec {
-                    merged.entry(addr).or_default().absorb(&rec);
-                }
-            }
-        }
-        {
-            let inner = lock(&shared.inner);
-            for (addr, mem) in &inner.mem {
-                let slot = merged.entry(*addr).or_default();
-                slot.epoch = slot.epoch.max(mem.epoch);
-                if !mem.rk.is_empty() {
-                    slot.rk = mem.rk.clone();
-                }
-                if !mem.id.is_empty() {
-                    slot.id = mem.id.clone();
-                }
-                if mem.digest.is_some() {
-                    slot.digest = mem.digest;
-                }
-                if mem.value.is_some() {
-                    slot.value = mem.value.clone();
-                }
-            }
-        }
+        let inner = lock(&shared.inner);
+        let segments = self.snapshot();
         let poisoned = lock(&shared.poisoned).clone();
-        let mut state = ResumeState::default();
-        for (addr, mem) in merged {
-            if mem.epoch != current || poisoned.contains(&addr) {
-                continue;
-            }
-            let Some(bytes) = &mem.value else { continue };
-            let Some(value) = parse_value(bytes) else {
-                continue;
-            };
-            if let Some(d) = mem.digest {
-                if !mem.id.is_empty() {
-                    state.digests.insert(mem.id.clone(), d);
-                }
-            }
-            state.values.insert(mem.rk, value);
-        }
-        Ok(state)
+        Ok(journaled_at(
+            &segments,
+            &inner.mem,
+            shared.epoch.load(Ordering::Relaxed),
+            &poisoned,
+        ))
     }
 
     fn stats(&self) -> StoreStats {
@@ -856,13 +899,63 @@ impl ResultStore for LsmStore {
             compactions: c.compactions.load(Ordering::Relaxed),
             recovered_records: c.recovered_records.load(Ordering::Relaxed),
             truncated_tail_bytes: c.truncated_tail_bytes.load(Ordering::Relaxed),
-            backend: self.backend_name(),
         }
     }
 
     fn flush(&self) -> io::Result<()> {
         self.do_flush()
     }
+}
+
+/// The completions journaled at `epoch`: segment records merged oldest
+/// to newest, the memtable on top, poisoned addresses left out.
+fn journaled_at(
+    segments: &[Arc<Segment>],
+    mem: &HashMap<u128, MemRec>,
+    epoch: u64,
+    poisoned: &HashSet<u128>,
+) -> ResumeState {
+    let mut merged: HashMap<u128, MemRec> = HashMap::new();
+    for seg in segments {
+        for (addr, rec) in seg.iter() {
+            if let Ok(rec) = rec {
+                merged.entry(addr).or_default().absorb(&rec);
+            }
+        }
+    }
+    for (addr, m) in mem {
+        let slot = merged.entry(*addr).or_default();
+        slot.epoch = slot.epoch.max(m.epoch);
+        if !m.rk.is_empty() {
+            slot.rk = m.rk.clone();
+        }
+        if !m.id.is_empty() {
+            slot.id = m.id.clone();
+        }
+        if m.digest.is_some() {
+            slot.digest = m.digest;
+        }
+        if m.value.is_some() {
+            slot.value = m.value.clone();
+        }
+    }
+    let mut state = ResumeState::default();
+    for (addr, m) in merged {
+        if m.epoch != epoch || poisoned.contains(&addr) {
+            continue;
+        }
+        let Some(bytes) = &m.value else { continue };
+        let Some(value) = parse_value(bytes) else {
+            continue;
+        };
+        if let Some(d) = m.digest {
+            if !m.id.is_empty() {
+                state.digests.insert(m.id.clone(), d);
+            }
+        }
+        state.values.insert(m.rk, value);
+    }
+    state
 }
 
 fn parse_value(bytes: &[u8]) -> Option<Value> {

@@ -1,6 +1,6 @@
 //! The quarantine directory: corrupt bytes kept for post-mortem.
 //!
-//! Both backends move (or copy) anything that fails validation into
+//! The store moves (or copies) anything that fails validation into
 //! `<dir>/quarantine/` instead of deleting it — a corrupt entry is
 //! evidence. Under sustained corruption that directory would grow
 //! without bound, so it is capped: past `cap` retained files the
@@ -9,7 +9,7 @@
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
 
-/// The default retention cap, shared by every backend.
+/// The default retention cap.
 pub const DEFAULT_QUARANTINE_CAP: usize = 64;
 
 /// Number of files currently retained in `qdir` (0 if it does not

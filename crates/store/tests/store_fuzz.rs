@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use scu_store::lsm::{LsmOptions, LsmStore};
 use scu_store::record::{JournalRecord, Record, RecordKind};
 use scu_store::segment::Segment;
-use scu_store::wal::{Wal, WAL_MAGIC};
+use scu_store::wal::{Wal, WalRecovery, WAL_MAGIC};
 use scu_store::{GetResult, ResultStore};
 use serde_json::Value;
 use std::path::{Path, PathBuf};
@@ -45,9 +45,20 @@ fn key(n: u64) -> Value {
     Value::Object(vec![("cell".into(), Value::U64(n))])
 }
 
+/// Recovers the WAL in `dir` the way a store open does: scan, then
+/// open with the scan's repairs applied.
+fn recover(dir: &Path) -> (Wal, WalRecovery) {
+    let path = dir.join("wal.log");
+    let recovery = WalRecovery::scan(&path).unwrap();
+    (
+        Wal::open(&path, &recovery, &dir.join("q"), 8).unwrap(),
+        recovery,
+    )
+}
+
 fn wal_with(dir: &Path, count: u64) -> Vec<u8> {
     let path = dir.join("wal.log");
-    let (wal, _) = Wal::open(&path, &dir.join("q"), 8).unwrap();
+    let (wal, _) = recover(dir);
     for n in 0..count {
         wal.append(&put(n)).unwrap();
     }
@@ -68,13 +79,13 @@ proptest! {
         let cut = WAL_MAGIC.len()
             + ((full.len() - WAL_MAGIC.len()) * cut_frac as usize) / 1000;
         std::fs::write(dir.join("wal.log"), &full[..cut]).unwrap();
-        let (_, rec) = Wal::open(&dir.join("wal.log"), &dir.join("q"), 8).unwrap();
+        let (_, rec) = recover(&dir);
         prop_assert!(rec.records.len() as u64 <= count);
         for (i, r) in rec.records.iter().enumerate() {
             prop_assert_eq!(r, &put(i as u64), "prefix must be byte-exact");
         }
         // The cut bytes were physically removed: reopening is clean.
-        let (_, again) = Wal::open(&dir.join("wal.log"), &dir.join("q"), 8).unwrap();
+        let (_, again) = recover(&dir);
         prop_assert_eq!(again.truncated_tail_bytes, 0);
         prop_assert_eq!(again.records.len(), rec.records.len());
         let _ = std::fs::remove_dir_all(&dir);
@@ -91,7 +102,7 @@ proptest! {
         let pos = (bytes.len() - 1) * pos_frac as usize / 1000;
         bytes[pos] ^= mask;
         std::fs::write(dir.join("wal.log"), &bytes).unwrap();
-        let (_, rec) = Wal::open(&dir.join("wal.log"), &dir.join("q"), 8).unwrap();
+        let (_, rec) = recover(&dir);
         // A flip inside the magic quarantines the file (empty replay);
         // anywhere else the replay stops at the damaged frame. Either
         // way: an intact prefix, nothing invented.

@@ -1,16 +1,16 @@
 //! Fault-injection integration tests: failpoints driving every
 //! [`Outcome`] variant through the real harness, crash-resume through
-//! the journal, and cache-corruption quarantine — including a property
-//! test that no corrupted blob is ever silently accepted.
+//! the journal, and cache-corruption quarantine.
 
 use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use proptest::prelude::*;
 use scu::bench::experiments::matrix::Matrix;
 use scu::bench::ExperimentConfig;
 use scu_algos::runner::Mode;
-use scu_harness::{cancel, failpoint, Harness, Job, JobGraph, Outcome, ResultCache};
+use scu_harness::{cancel, failpoint, Harness, Job, JobGraph, Outcome, ResultStore};
+use scu_store::record::{read_frame, JournalRecord, Record};
 use serde_json::Value;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -111,7 +111,7 @@ fn failpoints_drive_every_outcome_variant() {
 fn sigint_style_cancellation_drains_and_resume_finishes() {
     let _guard = global_sites();
     cancel::reset();
-    let manifest = scratch("cancel").join("manifest.json");
+    let journal = scratch("cancel").join("journal");
 
     // First sweep: the third cell raises the cancel flag mid-run, as
     // the SIGINT handler would; with one worker the rest never start.
@@ -133,7 +133,7 @@ fn sigint_style_cancellation_drains_and_resume_finishes() {
     };
     let first = Harness::new()
         .jobs(1)
-        .manifest(&manifest)
+        .journal_dir(&journal)
         .handle_sigint(true)
         .run(&build(true));
     assert!(first.summary.was_interrupted());
@@ -144,7 +144,7 @@ fn sigint_style_cancellation_drains_and_resume_finishes() {
     // Resume: journaled cells are pre-resolved, the rest run now.
     let resumed = Harness::new()
         .jobs(1)
-        .manifest(&manifest)
+        .journal_dir(&journal)
         .resume(true)
         .run(&build(false));
     assert!(resumed.summary.all_done());
@@ -152,14 +152,14 @@ fn sigint_style_cancellation_drains_and_resume_finishes() {
     for (i, o) in resumed.outcomes.iter().enumerate() {
         assert_eq!(o.value(), Some(&Value::U64((i * i) as u64)));
     }
-    let _ = std::fs::remove_dir_all(manifest.parent().unwrap());
+    let _ = std::fs::remove_dir_all(journal.parent().unwrap());
 }
 
 #[test]
 fn interrupted_matrix_resumes_to_byte_identical_results() {
     let _guard = global_sites();
     let dir = scratch("resume-matrix");
-    let manifest = dir.join("manifest.json");
+    let journal = dir.join("journal");
     let cfg = tiny();
 
     // Reference: one clean uninterrupted sweep.
@@ -178,7 +178,7 @@ fn interrupted_matrix_resumes_to_byte_identical_results() {
         let (_, broken) = Matrix::collect_with(
             &cfg,
             &MODES,
-            &Harness::new().jobs(1).retries(0).manifest(&manifest),
+            &Harness::new().jobs(1).retries(0).journal_dir(&journal),
             Some("BFS/"),
         );
         assert!(!broken.summary.all_done());
@@ -193,7 +193,7 @@ fn interrupted_matrix_resumes_to_byte_identical_results() {
         &Harness::new()
             .jobs(2)
             .retries(0)
-            .manifest(&manifest)
+            .journal_dir(&journal)
             .resume(true),
         Some("BFS/"),
     );
@@ -225,87 +225,77 @@ fn flaky_cell_run_recovers_via_retry() {
 #[test]
 fn corrupt_cache_blob_is_quarantined_and_recomputed() {
     let dir = scratch("quarantine");
-    // Explicitly the legacy per-file layout: this test pokes blob
-    // files by path. (The LSM layout's corruption handling is covered
-    // by scu-store's own fuzz suite.)
-    let cache = ResultCache::open_legacy(&dir).unwrap();
-    let key = Value::Object(vec![("cell".into(), Value::Str("q-test".into()))]);
-    let value = Value::Object(vec![("metric".into(), Value::U64(42))]);
-    cache.store(&key, &value).unwrap();
+    let key = |i: u64| Value::Object(vec![("q-cell".into(), Value::U64(i))]);
+    let runs = Arc::new(AtomicU32::new(0));
+    let build = || {
+        let mut g = JobGraph::new();
+        for i in 0..6u64 {
+            let runs = Arc::clone(&runs);
+            g.push(
+                Job::new(format!("q-{i}"), move || {
+                    runs.fetch_add(1, Ordering::SeqCst);
+                    Value::Object(vec![("metric".into(), Value::U64(i * 7))])
+                })
+                .with_cache_key(key(i)),
+            );
+        }
+        g
+    };
+    let values = |s: &scu_harness::Sweep| -> Vec<Value> {
+        s.outcomes
+            .iter()
+            .map(|o| o.value().unwrap().clone())
+            .collect()
+    };
+    let harness = Harness::new().jobs(2).cache_dir(&dir);
+    let cold = harness.run(&build());
+    assert!(cold.summary.all_done());
+    assert_eq!(runs.load(Ordering::SeqCst), 6);
 
-    // Flip one byte in the stored blob.
-    let blob = dir.join(format!("{}.json", ResultCache::digest_of(&key)));
-    let mut bytes = std::fs::read(&blob).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x20;
-    std::fs::write(&blob, &bytes).unwrap();
+    // Seal the values into a segment, then flip one byte inside the
+    // value of cell 3's frame.
+    scu_harness::open_store(&dir).unwrap().flush().unwrap();
+    let seg = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "seg"))
+        .expect("a sealed segment");
+    let mut bytes = std::fs::read(&seg).unwrap();
+    let index_off = u64::from_le_bytes(bytes[bytes.len() - 24..][..8].try_into().unwrap());
+    let victim = JournalRecord::resume_key(Some(&key(3)), "");
+    let mut offset = 16;
+    let value_end = loop {
+        let (body, next) = read_frame(&bytes[..index_off as usize], offset).unwrap();
+        if Record::decode_body(body).unwrap().rk == victim {
+            break next;
+        }
+        offset = next;
+    };
+    bytes[value_end - 1] ^= 0x20;
+    std::fs::write(&seg, &bytes).unwrap();
 
-    assert_eq!(cache.load(&key), None, "corrupt blob must read as a miss");
-    assert!(!blob.exists(), "blob moved out of the cache");
-    let quarantined = std::fs::read_dir(cache.quarantine_dir()).unwrap().count();
-    assert_eq!(quarantined, 1, "blob moved into quarantine");
-    assert_eq!(cache.stats().quarantined, 1);
+    // The damaged cell reads as a miss, is quarantined and recomputes;
+    // the sweep's output does not change.
+    let warm = harness.run(&build());
+    assert!(warm.summary.all_done());
+    assert_eq!(values(&warm), values(&cold));
+    assert_eq!(
+        runs.load(Ordering::SeqCst),
+        7,
+        "only the damaged cell re-ran"
+    );
+    assert!(!warm.outcomes[3].is_cached());
+    assert_eq!(warm.summary.cached, 5);
+    assert_eq!(warm.cache_stats.quarantined, 1);
+    assert_eq!(
+        std::fs::read_dir(dir.join("quarantine")).unwrap().count(),
+        1
+    );
 
-    // The cache stays usable: a fresh store round-trips again.
-    cache.store(&key, &value).unwrap();
-    assert_eq!(cache.load(&key), Some(value));
+    // The recomputed value supersedes the damaged record.
+    let again = harness.run(&build());
+    assert!(again.summary.fully_cached());
+    assert_eq!(values(&again), values(&cold));
+    assert_eq!(runs.load(Ordering::SeqCst), 7);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Satellite property: a cache blob put through a random
-    /// truncation or byte-flip is either rejected (and quarantined) or
-    /// read back byte-identical — never silently accepted as a
-    /// different value.
-    #[test]
-    fn cache_corruption_is_never_silently_accepted(
-        cut in 0usize..400,
-        flip_at in 0usize..400,
-        flip_with in 1u8..=255,
-        truncate in 0u8..2,
-    ) {
-        let dir = std::env::temp_dir().join(format!(
-            "scu-fault-prop-{}-{cut}-{flip_at}-{flip_with}-{truncate}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::open_legacy(&dir).unwrap();
-        let key = Value::Object(vec![("cell".into(), Value::U64(7))]);
-        let value = Value::Object(vec![
-            ("metric".into(), Value::F64(3.25)),
-            ("count".into(), Value::U64(123_456)),
-            ("label".into(), Value::Str("BFS/kron/TX1".into())),
-        ]);
-        cache.store(&key, &value).unwrap();
-        let blob = dir.join(format!("{}.json", ResultCache::digest_of(&key)));
-        let original = std::fs::read(&blob).unwrap();
-
-        let mut mutated = original.clone();
-        if truncate == 1 {
-            mutated.truncate(cut.min(mutated.len()));
-        } else {
-            let i = flip_at % mutated.len();
-            mutated[i] ^= flip_with;
-        }
-        std::fs::write(&blob, &mutated).unwrap();
-
-        match cache.load(&key) {
-            // Accepted: only legitimate if the mutation was a no-op.
-            Some(v) => {
-                prop_assert_eq!(&mutated, &original, "accepted a mutated blob");
-                prop_assert_eq!(v, value.clone());
-            }
-            // Rejected: the blob must be quarantined, not just dropped.
-            None => {
-                prop_assert!(!blob.exists());
-                let n = std::fs::read_dir(cache.quarantine_dir())
-                    .map(|d| d.count())
-                    .unwrap_or(0);
-                prop_assert_eq!(n, 1, "rejected blob quarantined");
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }

@@ -186,27 +186,13 @@ fn fnv1a_u64s(values: &[u64]) -> u64 {
 /// Graph key: scale participates via its exact bit pattern.
 type GraphKey = (Dataset, u64, u64);
 
-/// Most graphs the process-wide memo retains at once, by default.
-/// Overridable via `SCU_GRAPH_MEMO_ENTRIES` (read once, at first use).
+/// Most graphs the process-wide memo retains at once.
 ///
 /// The default matrix touches 6 datasets at one (scale, seed), so a
 /// full sweep stays fully memoised; multi-scale sweeps (ablation,
 /// scaling studies) evict least-recently-used graphs instead of
 /// accumulating every size ever built for the life of the process.
 const GRAPH_MEMO_CAP: usize = 8;
-
-/// The effective memo cap: `SCU_GRAPH_MEMO_ENTRIES` when set to a
-/// positive integer, [`GRAPH_MEMO_CAP`] otherwise.
-fn graph_memo_cap() -> usize {
-    std::env::var("SCU_GRAPH_MEMO_ENTRIES")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&cap| cap > 0)
-        .unwrap_or(GRAPH_MEMO_CAP)
-}
-
-/// How many evicted keys the memo remembers for thrash detection.
-const EVICTED_KEYS_REMEMBERED: usize = 64;
 
 /// LRU memo of built graphs: a linear table with a logical use clock.
 /// At the default cap a scan beats hashing and keeps eviction order
@@ -216,34 +202,13 @@ const EVICTED_KEYS_REMEMBERED: usize = 64;
 /// handle (three `Arc`s over the same file), so even an evict/rebuild
 /// cycle re-maps a verified file instead of re-generating the graph —
 /// the memo then only amortises the digest check.
+#[derive(Default)]
 struct GraphMemo {
-    cap: usize,
     tick: u64,
     entries: Vec<(GraphKey, Arc<Csr>, u64)>,
-    /// Recently evicted keys (bounded); re-requesting one of these is
-    /// eviction thrash — the cap is too small for the sweep's working
-    /// set — and warns once per process.
-    evicted: Vec<GraphKey>,
-    warned_thrash: bool,
-}
-
-impl Default for GraphMemo {
-    fn default() -> Self {
-        GraphMemo::with_cap(graph_memo_cap())
-    }
 }
 
 impl GraphMemo {
-    fn with_cap(cap: usize) -> Self {
-        GraphMemo {
-            cap: cap.max(1),
-            tick: 0,
-            entries: Vec::new(),
-            evicted: Vec::new(),
-            warned_thrash: false,
-        }
-    }
-
     fn get(&mut self, key: &GraphKey) -> Option<Arc<Csr>> {
         self.tick += 1;
         let tick = self.tick;
@@ -263,15 +228,7 @@ impl GraphMemo {
         if let Some(g) = self.get(&key) {
             return g;
         }
-        if self.evicted.contains(&key) && !self.warned_thrash {
-            self.warned_thrash = true;
-            eprintln!(
-                "[scu-algos] graph memo thrash: rebuilding a graph evicted earlier in this \
-                 sweep (cap {}); raise SCU_GRAPH_MEMO_ENTRIES if memory allows",
-                self.cap
-            );
-        }
-        if self.entries.len() >= self.cap {
+        if self.entries.len() >= GRAPH_MEMO_CAP {
             let lru = self
                 .entries
                 .iter()
@@ -279,11 +236,7 @@ impl GraphMemo {
                 .min_by_key(|(_, (.., last_use))| *last_use)
                 .map(|(i, _)| i)
                 .expect("cap > 0, so a full memo has a least-recent entry");
-            let (evicted_key, ..) = self.entries.swap_remove(lru);
-            if self.evicted.len() >= EVICTED_KEYS_REMEMBERED {
-                self.evicted.remove(0);
-            }
-            self.evicted.push(evicted_key);
+            self.entries.swap_remove(lru);
         }
         self.entries.push((key, Arc::clone(&g), self.tick));
         g
@@ -295,9 +248,8 @@ impl GraphMemo {
 /// Generation is deterministic, so sharing is purely an optimisation:
 /// every cell of a sweep reads the same immutable [`Csr`] instead of
 /// regenerating it per algorithm × platform × mode combination. The
-/// memo is bounded (`SCU_GRAPH_MEMO_ENTRIES`, default
-/// [`GRAPH_MEMO_CAP`]); least-recently-used graphs are dropped once
-/// every cell holding them finishes.
+/// memo is bounded ([`GRAPH_MEMO_CAP`] graphs); least-recently-used
+/// graphs are dropped once every cell holding them finishes.
 ///
 /// When a graph artifact store is mounted ([`mount_graph_artifacts`])
 /// a memo miss goes through it: a verified on-disk artifact is mmap'd
@@ -402,9 +354,7 @@ mod tests {
 
     #[test]
     fn graph_memo_caps_and_evicts_least_recent() {
-        // Explicit cap: the default reads SCU_GRAPH_MEMO_ENTRIES, and
-        // process env must not leak into this test (or vice versa).
-        let mut memo = GraphMemo::with_cap(GRAPH_MEMO_CAP);
+        let mut memo = GraphMemo::default();
         let g = Arc::new(Dataset::Ca.build(1.0 / 512.0, 1));
         let cap = GRAPH_MEMO_CAP as u64;
         for i in 0..cap + 3 {
@@ -422,31 +372,5 @@ mod tests {
         memo.insert((Dataset::Ca, 999, 1), Arc::clone(&g));
         assert_eq!(memo.entries.len(), GRAPH_MEMO_CAP);
         assert!(memo.get(&keep).is_some());
-    }
-
-    #[test]
-    fn graph_memo_warns_once_on_eviction_thrash() {
-        let mut memo = GraphMemo::with_cap(2);
-        let g = Arc::new(Dataset::Ca.build(1.0 / 512.0, 1));
-        for i in 0..3u64 {
-            memo.insert((Dataset::Ca, i, 1), Arc::clone(&g));
-        }
-        // Key 0 was evicted; re-inserting it is thrash.
-        assert!(!memo.warned_thrash);
-        memo.insert((Dataset::Ca, 0, 1), Arc::clone(&g));
-        assert!(memo.warned_thrash);
-        // The evicted ring stays bounded under sustained cycling.
-        for i in 10..10 + 2 * EVICTED_KEYS_REMEMBERED as u64 {
-            memo.insert((Dataset::Ca, i, 1), Arc::clone(&g));
-        }
-        assert!(memo.evicted.len() <= EVICTED_KEYS_REMEMBERED);
-    }
-
-    #[test]
-    fn graph_memo_cap_env_parsing() {
-        // The default (no env contract in unit tests) is positive and
-        // with_cap clamps zero to one.
-        assert!(graph_memo_cap() >= 1);
-        assert_eq!(GraphMemo::with_cap(0).cap, 1);
     }
 }

@@ -5,12 +5,14 @@
 //! SCU_SCALE=0.0625 cargo run --release -p scu-bench --bin export_json > matrix.json
 //! ```
 //!
-//! Accepts the shared harness flags: `--jobs N`, `--no-cache`,
-//! `--filter SUBSTR`, `--timeout-secs N`, `--retries N`, `--resume`.
-//! Completions are journaled as they land — into the result store's
-//! write-ahead log, or `results/journal` under `--no-cache` — so a
-//! killed export rerun with `--resume` recomputes only the missing
-//! cells and produces byte-identical JSON. The matrix covers the paper's three
+//! Accepts the shared harness flags `--jobs N`, `--no-cache`,
+//! `--no-graph-artifacts`, `--filter SUBSTR`, `--timeout-secs N`,
+//! `--resume` and `--strict-resume`; `--trace` (honoured by `run_one`
+//! and `reproduce_all`) is rejected with exit 2. Completions are
+//! journaled as they land — into the result store's write-ahead log,
+//! or `results/journal` under `--no-cache` — so a killed or failed
+//! export rerun with `--resume` recomputes only the missing cells and
+//! produces byte-identical JSON. The matrix covers the paper's three
 //! primitives plus the CC and k-core extensions.
 
 use scu_algos::runner::Mode;
@@ -64,12 +66,20 @@ const MODES: [Mode; 4] = [
     Mode::ScuEnhanced,
 ];
 
+/// The shared harness flags this binary reads: all but `--trace`.
+const HARNESS_FLAGS: &[&str] = &[
+    "--jobs",
+    "--no-cache",
+    "--no-graph-artifacts",
+    "--filter",
+    "--timeout-secs",
+    "--resume",
+    "--strict-resume",
+];
+
 fn main() {
-    let args = CliArgs::from_env();
+    let args = CliArgs::from_env(HARNESS_FLAGS);
     scu_harness::session::reject_unparsed_args(&args);
-    if args.trace.is_some() {
-        eprintln!("note: --trace is honoured by run_one and reproduce_all, not export_json");
-    }
     let cfg = ExperimentConfig::from_env();
     if let Err(e) = cfg.validate() {
         eprintln!("{e}");

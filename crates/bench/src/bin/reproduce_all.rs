@@ -7,12 +7,15 @@
 //! mirrored to `results/reproduce_output.txt`, live progress to
 //! `results/reproduce_progress.txt`.
 //!
-//! Robustness: flaky cells are retried (`--retries N`, default 2);
-//! completions are journaled as they land (into the result store's
-//! write-ahead log, or `results/journal` under `--no-cache`), so a
-//! killed run restarts with `--resume` and re-executes only the cells
-//! the journal missed. The first Ctrl-C drains in-flight cells into
-//! the journal and exits 130; the second kills immediately.
+//! Robustness: each cell runs once, and a failed or timed-out cell
+//! fails alone (exit 1 once the rest of the sweep completes). Cells are
+//! deterministic, so a rerun would only repeat the failure: fix the
+//! cause and rerun with `--resume`. Completions are journaled as they
+//! land (into the result store's write-ahead log, or `results/journal`
+//! under `--no-cache`), so a failed or killed run restarts with
+//! `--resume` and re-executes only the cells the journal missed. The
+//! first Ctrl-C drains in-flight cells into the journal and exits 130;
+//! the second kills immediately.
 //!
 //! Scale with `SCU_SCALE` (default 1/16 of published dataset sizes).
 //!
@@ -28,7 +31,7 @@ use scu_bench::experiments::{
     workload,
 };
 use scu_bench::ExperimentConfig;
-use scu_harness::CliArgs;
+use scu_harness::{cli, CliArgs};
 
 /// All four machine variants, in the paper's order.
 const MODES: [Mode; 4] = [
@@ -39,7 +42,7 @@ const MODES: [Mode; 4] = [
 ];
 
 fn main() {
-    let args = CliArgs::from_env();
+    let args = CliArgs::from_env(cli::ALL_FLAGS);
     scu_harness::session::reject_unparsed_args(&args);
     let cfg = ExperimentConfig::from_env();
     if let Err(e) = cfg.validate() {

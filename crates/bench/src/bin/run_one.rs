@@ -8,7 +8,11 @@
 //!
 //! Scale/seed come from `SCU_SCALE` / `SCU_SEED` as usual. The result
 //! is cached under `results/cache` like the full sweep's cells; pass
-//! `--no-cache` to force a fresh simulation.
+//! `--no-cache` to force a fresh simulation. Of the shared harness
+//! flags only `--no-cache`, `--no-graph-artifacts` and `--trace` apply
+//! to a single cell; the sweep flags (`--jobs`, `--filter`,
+//! `--timeout-secs`, `--resume`, `--strict-resume`) are rejected with
+//! exit 2.
 //!
 //! With `--trace <path>` the cell always simulates fresh (a cached
 //! result has no event stream) and its timeline is written as a
@@ -157,8 +161,11 @@ fn obtain_remote(cell: &Cell, url: &str) -> Result<(CellResult, bool), String> {
 const USAGE: &str = "usage: run_one [BFS|SSSP|PR|CC|KCORE] [dataset] [GTX980|TX1] [mode] \
      [--no-cache] [--no-graph-artifacts] [--trace PATH] [--profile] [--remote URL]";
 
+/// The shared harness flags a single cell reads.
+const HARNESS_FLAGS: &[&str] = &["--no-cache", "--no-graph-artifacts", "--trace"];
+
 fn main() {
-    let args = CliArgs::from_env();
+    let args = CliArgs::from_env(HARNESS_FLAGS);
     let mut rest = args.rest.clone();
     let profile = match rest.iter().position(|a| a == "--profile") {
         Some(i) => {

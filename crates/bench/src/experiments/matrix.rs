@@ -15,7 +15,7 @@ use scu_algos::cell::{Cell, CellResult};
 use scu_algos::runner::{Algorithm, Mode};
 use scu_algos::{RunReport, SystemKind};
 use scu_graph::Dataset;
-use scu_harness::{Harness, Job, JobGraph, Sweep};
+use scu_harness::{Harness, Job, Sweep};
 use scu_trace::{PhaseRow, Timeline};
 
 use crate::config::ExperimentConfig;
@@ -123,25 +123,27 @@ impl Matrix {
         trace: Option<&TraceLog>,
     ) -> (Matrix, Sweep) {
         let cells = Matrix::plan(cfg, modes, filter);
-        let mut graph = JobGraph::new();
-        for cell in &cells {
-            let work = cell.clone();
-            let job = match trace {
-                None => Job::new(cell.id(), move || work.run_value()),
-                Some(log) => {
-                    let log = Arc::clone(log);
-                    Job::new(cell.id(), move || {
-                        let (result, timeline) = work.run_traced();
-                        let value = serde_json::to_value(&result);
-                        scu_harness::error::lock_unpoisoned(&log, "trace collector")
-                            .push((work.id(), timeline));
-                        value
-                    })
-                }
-            };
-            graph.push(job.with_cache_key(cell.cache_key()));
-        }
-        let sweep = harness.run(&graph);
+        let jobs: Vec<Job> = cells
+            .iter()
+            .map(|cell| {
+                let work = cell.clone();
+                let job = match trace {
+                    None => Job::new(cell.id(), move || work.run_value()),
+                    Some(log) => {
+                        let log = Arc::clone(log);
+                        Job::new(cell.id(), move || {
+                            let (result, timeline) = work.run_traced();
+                            let value = serde_json::to_value(&result);
+                            scu_harness::error::lock_unpoisoned(&log, "trace collector")
+                                .push((work.id(), timeline));
+                            value
+                        })
+                    }
+                };
+                job.with_cache_key(cell.cache_key())
+            })
+            .collect();
+        let sweep = harness.run(&jobs);
         let mut entries = Vec::new();
         for (cell, outcome) in cells.iter().zip(&sweep.outcomes) {
             if let Some(value) = outcome.value() {

@@ -59,12 +59,65 @@ fn run_one_rejects_malformed_remote_usage() {
 #[test]
 fn run_one_rejects_bad_flag_values() {
     let bin = env!("CARGO_BIN_EXE_run_one");
+    assert_rejects(bin, &["--trace"], "--trace expects a file path");
+}
+
+#[test]
+fn sweep_binaries_reject_bad_flag_values() {
+    for bin in [
+        env!("CARGO_BIN_EXE_reproduce_all"),
+        env!("CARGO_BIN_EXE_export_json"),
+    ] {
+        assert_rejects(
+            bin,
+            &["--jobs", "zero"],
+            "--jobs expects a positive integer",
+        );
+        assert_rejects(bin, &["--timeout-secs", "-1"], "--timeout-secs expects");
+    }
+}
+
+/// Harness flags a single cell has no use for: each must be refused,
+/// not silently ignored.
+#[test]
+fn run_one_rejects_the_sweep_flags_it_does_not_read() {
+    let bin = env!("CARGO_BIN_EXE_run_one");
+    let cell = ["BFS", "kron", "TX1", "gpu"];
+    for flag in [
+        &["--jobs", "3"][..],
+        &["-j", "3"],
+        &["--filter", "zzz"],
+        &["--timeout-secs", "0.001"],
+        &["--resume"],
+        &["--strict-resume"],
+    ] {
+        let args: Vec<&str> = cell.iter().chain(flag).copied().collect();
+        assert_rejects(
+            bin,
+            &args,
+            &format!("unexpected arguments: [\"{}\"", flag[0]),
+        );
+    }
+}
+
+#[test]
+fn export_json_rejects_trace_it_does_not_write() {
     assert_rejects(
-        bin,
-        &["--jobs", "zero"],
-        "--jobs expects a positive integer",
+        env!("CARGO_BIN_EXE_export_json"),
+        &["--trace", "t.json"],
+        "unexpected arguments: [\"--trace\"",
     );
-    assert_rejects(bin, &["--timeout-secs", "-1"], "--timeout-secs expects");
+}
+
+#[test]
+fn sweep_binaries_reject_the_removed_retries_flag() {
+    for bin in [
+        env!("CARGO_BIN_EXE_reproduce_all"),
+        env!("CARGO_BIN_EXE_export_json"),
+        env!("CARGO_BIN_EXE_run_one"),
+    ] {
+        assert_rejects(bin, &["--retries", "2"], "--retries");
+    }
 }
 
 #[test]

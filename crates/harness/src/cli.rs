@@ -1,6 +1,10 @@
 //! Shared command-line surface for the experiment binaries:
 //! `--jobs N`, `--no-cache`, `--no-graph-artifacts`, `--filter <substr>`, `--timeout-secs N`,
-//! `--retries N`, `--resume`, `--strict-resume`, `--trace <path>`.
+//! `--resume`, `--strict-resume`, `--trace <path>`.
+//!
+//! Each binary names the harness flags it reads; any other harness
+//! flag is left in [`CliArgs::rest`] like an unknown argument, so the
+//! binary rejects it instead of silently ignoring it.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -23,9 +27,6 @@ pub struct CliArgs {
     pub filter: Option<String>,
     /// Per-cell wall-clock budget.
     pub timeout: Option<Duration>,
-    /// Retries for failed or timed-out cells (sweep binaries default
-    /// to 2 so one flaky cell does not cost a rerun).
-    pub retries: u32,
     /// Resume from the journal of an interrupted sweep instead of
     /// starting fresh.
     pub resume: bool,
@@ -37,7 +38,8 @@ pub struct CliArgs {
     /// here (binaries that simulate fresh cells honour it; cached
     /// cells have no event stream to export).
     pub trace: Option<PathBuf>,
-    /// Positional arguments, in order, with harness flags removed.
+    /// Positional arguments and flags the binary does not read, in
+    /// order.
     pub rest: Vec<String>,
 }
 
@@ -49,7 +51,6 @@ impl Default for CliArgs {
             no_graph_artifacts: false,
             filter: None,
             timeout: None,
-            retries: 2,
             resume: false,
             strict_resume: false,
             trace: None,
@@ -66,7 +67,6 @@ pub const USAGE: &str = "harness options:\n  \
 artifacts (results are byte-identical either way)\n  \
     --filter SUBSTR   only run cells whose id contains SUBSTR\n  \
     --timeout-secs N  mark cells running longer than N seconds as timed out\n  \
-    --retries N       retry failed/timed-out cells up to N times (default: 2)\n  \
     --resume          resume an interrupted sweep from its journal (the result\n                    \
 store's write-ahead log, or results/journal when running\n                    \
 uncached)\n  \
@@ -74,12 +74,28 @@ uncached)\n  \
     from the journaled one, instead of warning\n  \
     --trace PATH      write a chrome://tracing (Perfetto) JSON trace to PATH";
 
+/// Every harness flag, for binaries that read them all.
+pub const ALL_FLAGS: &[&str] = &[
+    "--jobs",
+    "--no-cache",
+    "--no-graph-artifacts",
+    "--filter",
+    "--timeout-secs",
+    "--resume",
+    "--strict-resume",
+    "--trace",
+];
+
 impl CliArgs {
-    /// Parses `std::env::args().skip(1)`-style arguments. Unknown
-    /// flags and positionals are collected into [`CliArgs::rest`] for
-    /// the binary to interpret; malformed values for known flags are
-    /// errors.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<CliArgs, String> {
+    /// Parses `std::env::args().skip(1)`-style arguments, taking only
+    /// the harness flags named in `reads`. Unknown flags, harness flags
+    /// not in `reads` and positionals are collected into
+    /// [`CliArgs::rest`] for the binary to interpret; malformed values
+    /// for read flags are errors.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        reads: &[&str],
+    ) -> Result<CliArgs, String> {
         let mut out = CliArgs::default();
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
@@ -93,8 +109,10 @@ impl CliArgs {
                     .or_else(|| args.next())
                     .ok_or_else(|| format!("{flag} expects {what}"))
             };
-            match flag.as_str() {
-                "--jobs" | "-j" => {
+            let canonical = if flag == "-j" { "--jobs" } else { &flag };
+            match canonical {
+                _ if !reads.contains(&canonical) => out.rest.push(arg),
+                "--jobs" => {
                     let v = value("a thread count")?;
                     out.jobs =
                         v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
@@ -111,12 +129,6 @@ impl CliArgs {
                     })?;
                     out.timeout = Some(Duration::from_secs_f64(secs));
                 }
-                "--retries" => {
-                    let v = value("a retry count")?;
-                    out.retries = v.parse::<u32>().map_err(|_| {
-                        format!("--retries expects a non-negative integer, got '{v}'")
-                    })?;
-                }
                 "--resume" => out.resume = true,
                 "--strict-resume" => out.strict_resume = true,
                 "--trace" => out.trace = Some(PathBuf::from(value("a file path")?)),
@@ -126,9 +138,10 @@ impl CliArgs {
         Ok(out)
     }
 
-    /// Parses the process's own arguments, exiting with usage on error.
-    pub fn from_env() -> CliArgs {
-        match CliArgs::parse(std::env::args().skip(1)) {
+    /// Parses the process's own arguments (see [`CliArgs::parse`]),
+    /// exiting with usage on error.
+    pub fn from_env(reads: &[&str]) -> CliArgs {
+        match CliArgs::parse(std::env::args().skip(1), reads) {
             Ok(args) => args,
             Err(e) => {
                 eprintln!("{e}\n{USAGE}");
@@ -143,7 +156,11 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> CliArgs {
-        CliArgs::parse(args.iter().map(|s| s.to_string())).unwrap()
+        CliArgs::parse(args.iter().map(|s| s.to_string()), ALL_FLAGS).unwrap()
+    }
+
+    fn parse_err(args: &[&str]) -> bool {
+        CliArgs::parse(args.iter().map(|s| s.to_string()), ALL_FLAGS).is_err()
     }
 
     #[test]
@@ -152,21 +169,40 @@ mod tests {
         assert!(a.jobs >= 1);
         assert!(!a.no_cache);
         assert!(a.filter.is_none() && a.timeout.is_none());
-        assert_eq!(a.retries, 2);
         assert!(!a.resume);
     }
 
     #[test]
-    fn retries_and_resume_parse() {
-        let a = parse(&["--retries", "0", "--resume"]);
-        assert_eq!(a.retries, 0);
+    fn resume_parses() {
+        let a = parse(&["--resume"]);
         assert!(a.resume);
         assert!(!a.strict_resume);
         let s = parse(&["--resume", "--strict-resume"]);
         assert!(s.resume && s.strict_resume);
-        let b = parse(&["--retries=5"]);
-        assert_eq!(b.retries, 5);
-        assert!(CliArgs::parse(["--retries".to_string(), "-1".to_string()]).is_err());
+    }
+
+    #[test]
+    fn unread_harness_flags_pass_through_like_unknown_ones() {
+        let reads = ["--no-cache", "--trace"];
+        let a = CliArgs::parse(
+            [
+                "--jobs",
+                "3",
+                "--no-cache",
+                "-j=2",
+                "--filter",
+                "x",
+                "--resume",
+            ]
+            .map(String::from),
+            &reads,
+        )
+        .unwrap();
+        assert!(a.no_cache);
+        assert!(a.filter.is_none() && !a.resume);
+        assert_eq!(a.rest, ["--jobs", "3", "-j=2", "--filter", "x", "--resume"]);
+        // A flag the binary does not read is not validated either.
+        assert!(CliArgs::parse(["--jobs", "zero"].map(String::from), &reads).is_ok());
     }
 
     #[test]
@@ -187,7 +223,7 @@ mod tests {
             Some(std::path::Path::new("results/trace.json"))
         );
         assert!(parse(&[]).trace.is_none());
-        assert!(CliArgs::parse(["--trace".to_string()]).is_err());
+        assert!(parse_err(&["--trace"]));
     }
 
     #[test]
@@ -218,9 +254,10 @@ mod tests {
 
     #[test]
     fn bad_values_error() {
-        assert!(CliArgs::parse(["--jobs".to_string(), "zero".to_string()]).is_err());
-        assert!(CliArgs::parse(["--jobs".to_string(), "0".to_string()]).is_err());
-        assert!(CliArgs::parse(["--timeout-secs".to_string(), "-1".to_string()]).is_err());
-        assert!(CliArgs::parse(["--filter".to_string()]).is_err());
+        assert!(parse_err(&["--jobs", "zero"]));
+        assert!(parse_err(&["--jobs", "0"]));
+        assert!(parse_err(&["--timeout-secs", "-1"]));
+        assert!(parse_err(&["--filter"]));
+        assert_eq!(parse(&["--retries", "2"]).rest, ["--retries", "2"]);
     }
 }

@@ -1,18 +1,15 @@
-//! Jobs and the dependency graph the executor runs.
+//! Jobs and their outcomes.
 //!
 //! A [`Job`] is one experiment cell: a human-readable id, an optional
 //! cache key (the canonical configuration of the cell), and a pure
-//! work closure producing a JSON value. Jobs are collected into a
-//! [`JobGraph`]; dependency edges may only point at already-inserted
-//! jobs, which makes the graph acyclic by construction.
+//! work closure producing a JSON value. Cells need no other cell's
+//! output, so a sweep is a plain slice of jobs; the executor maps over
+//! it and returns one [`Outcome`] per job, in slice order.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use serde_json::Value;
-
-/// Index of a job within its [`JobGraph`], in insertion order.
-pub type JobId = usize;
 
 /// One schedulable unit of work.
 pub struct Job {
@@ -22,8 +19,6 @@ pub struct Job {
     /// Canonical configuration for content-addressed caching; `None`
     /// makes the job uncacheable (always recomputed).
     pub cache_key: Option<Value>,
-    /// Jobs that must complete successfully before this one runs.
-    pub deps: Vec<JobId>,
     /// The work itself. Must be pure: same configuration, same value.
     /// Shared (`Arc`) so a timed-out invocation can be abandoned
     /// without tearing down the closure under it.
@@ -31,12 +26,11 @@ pub struct Job {
 }
 
 impl Job {
-    /// A dependency-free, uncached job.
+    /// An uncached job.
     pub fn new(id: impl Into<String>, work: impl Fn() -> Value + Send + Sync + 'static) -> Self {
         Job {
             id: id.into(),
             cache_key: None,
-            deps: Vec::new(),
             work: Arc::new(work),
         }
     }
@@ -47,83 +41,19 @@ impl Job {
         self.cache_key = Some(key);
         self
     }
-
-    /// Adds dependencies on earlier jobs.
-    pub fn after(mut self, deps: &[JobId]) -> Self {
-        self.deps.extend_from_slice(deps);
-        self
-    }
 }
 
 impl std::fmt::Debug for Job {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Job")
             .field("id", &self.id)
-            .field("deps", &self.deps)
             .field("cached", &self.cache_key.is_some())
             .finish()
     }
 }
 
-/// An append-only DAG of jobs.
-#[derive(Debug, Default)]
-pub struct JobGraph {
-    jobs: Vec<Job>,
-}
-
-impl JobGraph {
-    /// An empty graph.
-    pub fn new() -> Self {
-        JobGraph::default()
-    }
-
-    /// Inserts a job, returning its [`JobId`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a dependency refers to a job not yet inserted —
-    /// forward edges are the one way to build a cycle here, so they
-    /// are rejected at insertion.
-    pub fn push(&mut self, job: Job) -> JobId {
-        let id = self.jobs.len();
-        for &d in &job.deps {
-            assert!(
-                d < id,
-                "job '{}' depends on not-yet-inserted job #{d}",
-                job.id
-            );
-        }
-        self.jobs.push(job);
-        id
-    }
-
-    /// Number of jobs.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Whether the graph is empty.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
-    /// The jobs, in insertion order.
-    pub fn jobs(&self) -> &[Job] {
-        &self.jobs
-    }
-}
-
-/// One failed attempt that preceded a job's final outcome — the
-/// per-attempt history the retry layer records.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Attempt {
-    /// Why the attempt did not complete (panic message or timeout).
-    pub error: String,
-    /// The backoff slept after this attempt before the next one.
-    pub backoff: Duration,
-}
-
-/// What happened to one job.
+/// What happened to one job. A job runs at most once: cells are
+/// deterministic, so a failure would only repeat.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Outcome {
     /// Completed; `cached` tells whether the value came from the
@@ -132,23 +62,12 @@ pub enum Outcome {
         value: Value,
         duration: Duration,
         cached: bool,
-        /// Failed attempts that preceded this success (empty when the
-        /// first attempt succeeded).
-        retries: Vec<Attempt>,
     },
-    /// Every attempt panicked; the final payload's message.
-    Failed {
-        error: String,
-        retries: Vec<Attempt>,
-    },
-    /// Every attempt exceeded the configured wall-clock budget and was
+    /// The job panicked; the payload's message.
+    Failed { error: String },
+    /// The job exceeded the configured wall-clock budget and was
     /// abandoned.
-    TimedOut {
-        limit: Duration,
-        retries: Vec<Attempt>,
-    },
-    /// A dependency did not complete, so the job never ran.
-    Skipped { failed_dep: String },
+    TimedOut { limit: Duration },
     /// The sweep was interrupted (SIGINT) before the job started.
     Cancelled,
 }
@@ -172,21 +91,6 @@ impl Outcome {
         matches!(self, Outcome::Done { cached: true, .. })
     }
 
-    /// The failed attempts that preceded this outcome.
-    pub fn retries(&self) -> &[Attempt] {
-        match self {
-            Outcome::Done { retries, .. }
-            | Outcome::Failed { retries, .. }
-            | Outcome::TimedOut { retries, .. } => retries,
-            Outcome::Skipped { .. } | Outcome::Cancelled => &[],
-        }
-    }
-
-    /// Whether the job completed only after at least one retry.
-    pub fn was_retried(&self) -> bool {
-        self.is_done() && !self.retries().is_empty()
-    }
-
     /// One-word status label for progress lines and summaries.
     pub fn label(&self) -> &'static str {
         match self {
@@ -194,7 +98,6 @@ impl Outcome {
             Outcome::Done { cached: false, .. } => "done",
             Outcome::Failed { .. } => "FAILED",
             Outcome::TimedOut { .. } => "TIMED-OUT",
-            Outcome::Skipped { .. } => "skipped",
             Outcome::Cancelled => "cancelled",
         }
     }
@@ -205,55 +108,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn push_assigns_sequential_ids() {
-        let mut g = JobGraph::new();
-        let a = g.push(Job::new("a", || Value::Null));
-        let b = g.push(Job::new("b", || Value::Null).after(&[a]));
-        assert_eq!((a, b), (0, 1));
-        assert_eq!(g.len(), 2);
-        assert_eq!(g.jobs()[1].deps, vec![0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "not-yet-inserted")]
-    fn forward_dependency_is_rejected() {
-        let mut g = JobGraph::new();
-        g.push(Job::new("a", || Value::Null).after(&[3]));
-    }
-
-    #[test]
     fn outcome_accessors() {
         let done = Outcome::Done {
             value: Value::U64(1),
             duration: Duration::from_millis(5),
             cached: false,
-            retries: Vec::new(),
         };
-        assert!(done.is_done() && !done.is_cached() && !done.was_retried());
+        assert!(done.is_done() && !done.is_cached());
         assert_eq!(done.value(), Some(&Value::U64(1)));
         assert_eq!(done.label(), "done");
         let failed = Outcome::Failed {
             error: "boom".into(),
-            retries: Vec::new(),
         };
         assert!(failed.value().is_none());
         assert_eq!(failed.label(), "FAILED");
         assert_eq!(Outcome::Cancelled.label(), "cancelled");
-    }
-
-    #[test]
-    fn retried_then_ok_is_visible_in_history() {
-        let out = Outcome::Done {
-            value: Value::U64(2),
-            duration: Duration::from_millis(1),
-            cached: false,
-            retries: vec![Attempt {
-                error: "transient".into(),
-                backoff: Duration::from_millis(10),
-            }],
-        };
-        assert!(out.was_retried());
-        assert_eq!(out.retries().len(), 1);
-        assert_eq!(out.retries()[0].error, "transient");
     }
 }

@@ -1,38 +1,38 @@
 //! # scu-harness — parallel experiment orchestration
 //!
 //! The reproduction matrix (algorithm × dataset × platform × machine
-//! mode) is 150+ independent, deterministic simulator cells. This
+//! mode) is 240 independent, deterministic simulator cells. This
 //! crate runs them concurrently while keeping the sequential path's
 //! guarantees:
 //!
 //! - **Determinism** — each cell is a pure closure owning its
-//!   configuration; outcomes are returned in submission order, so a
-//!   run with `--jobs 16` is byte-identical to `--jobs 1`.
+//!   configuration and needing no other cell's output; outcomes are
+//!   returned in submission order, so a run with `--jobs 16` is
+//!   byte-identical to `--jobs 1`.
 //! - **Content-addressed caching** — results live in an
 //!   [`LsmStore`] keyed by the cell configuration plus a model-version
 //!   string; after a code tweak that bumps the version, only
 //!   invalidated cells recompute. The same store's write-ahead log
 //!   journals completions for `--resume`.
-//! - **Fault isolation** — a panicking cell is caught and reported
-//!   `FAILED`, a cell over its wall-clock budget `TIMED-OUT`, and
-//!   dependents of either are `skipped`; the sweep always completes
-//!   and ends with a summary ([`progress::SweepSummary`]).
+//! - **Fault isolation** — each cell runs once; a panicking cell is
+//!   caught and reported `FAILED`, a cell over its wall-clock budget
+//!   `TIMED-OUT`, and every other cell proceeds. The sweep always
+//!   completes and ends with a summary ([`progress::SweepSummary`]);
+//!   a failed cell is deterministic, so the remedy is to fix its cause
+//!   and rerun with `--resume`, which recomputes only that cell.
 //!
-//! The executor is a fixed worker pool over a single
-//! `Mutex`+`Condvar`-protected ready queue (`crossbeam` and
-//! `parking_lot` cannot be resolved in this offline environment, and
-//! at ~150 cells of milliseconds-to-seconds each, queue contention is
-//! noise — the work units dwarf the locking).
+//! The executor is a fixed worker pool claiming job indices from one
+//! atomic counter: cells are independent, so there is nothing to wait
+//! on between them.
 //!
 //! ```
-//! use scu_harness::{Harness, Job, JobGraph};
+//! use scu_harness::{Harness, Job};
 //! use serde_json::Value;
 //!
-//! let mut graph = JobGraph::new();
-//! for i in 0..4u64 {
-//!     graph.push(Job::new(format!("cell-{i}"), move || Value::U64(i * i)));
-//! }
-//! let sweep = Harness::new().jobs(2).run(&graph);
+//! let jobs: Vec<Job> = (0..4u64)
+//!     .map(|i| Job::new(format!("cell-{i}"), move || Value::U64(i * i)))
+//!     .collect();
+//! let sweep = Harness::new().jobs(2).run(&jobs);
 //! assert!(sweep.summary.all_done());
 //! assert_eq!(sweep.outcomes[3].value(), Some(&Value::U64(9)));
 //! ```
@@ -48,8 +48,8 @@ pub mod session;
 
 pub use cli::CliArgs;
 pub use error::HarnessError;
-pub use executor::{capped_backoff, default_jobs, ExecContext, ExecOptions, ExecResult};
-pub use job::{Attempt, Job, JobGraph, JobId, Outcome};
+pub use executor::{default_jobs, ExecContext, ExecOptions, ExecResult};
+pub use job::{Job, Outcome};
 pub use progress::{Progress, ProgressEvent, ProgressObserver, SweepSummary};
 pub use scu_store::{GetResult, LsmStore, ResultStore, StoreStats};
 
@@ -74,7 +74,7 @@ pub fn open_store(dir: impl AsRef<Path>) -> Result<LsmStore, HarnessError> {
 /// Everything a finished sweep produced.
 #[derive(Debug)]
 pub struct Sweep {
-    /// Per-job outcomes, in [`JobGraph`] insertion order.
+    /// Per-job outcomes, in the order the jobs were given.
     pub outcomes: Vec<Outcome>,
     /// Aggregate counts, failures and timings.
     pub summary: SweepSummary,
@@ -82,7 +82,7 @@ pub struct Sweep {
     pub cache_stats: StoreStats,
 }
 
-/// Builder-style front door: configure once, run a [`JobGraph`].
+/// Builder-style front door: configure once, run a slice of [`Job`]s.
 #[derive(Clone)]
 pub struct Harness {
     jobs: usize,
@@ -92,9 +92,6 @@ pub struct Harness {
     narrate: bool,
     progress_file: Option<PathBuf>,
     observer: Option<progress::ProgressObserver>,
-    retries: u32,
-    backoff: Duration,
-    backoff_cap: Duration,
     journal_dir: Option<PathBuf>,
     resume: bool,
     strict_resume: bool,
@@ -112,7 +109,6 @@ impl std::fmt::Debug for Harness {
             .field("narrate", &self.narrate)
             .field("progress_file", &self.progress_file)
             .field("observer", &self.observer.is_some())
-            .field("retries", &self.retries)
             .field("journal_dir", &self.journal_dir)
             .field("resume", &self.resume)
             .field("strict_resume", &self.strict_resume)
@@ -132,9 +128,6 @@ impl Default for Harness {
             narrate: false,
             progress_file: None,
             observer: None,
-            retries: 0,
-            backoff: Duration::from_millis(100),
-            backoff_cap: Duration::from_secs(2),
             journal_dir: None,
             resume: false,
             strict_resume: false,
@@ -211,20 +204,6 @@ impl Harness {
         self
     }
 
-    /// Retries failed or timed-out cells up to `retries` times with
-    /// capped exponential backoff (library default: 0, single shot).
-    pub fn retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// Sets the base backoff (doubles per attempt) and its cap.
-    pub fn backoff(mut self, base: Duration, cap: Duration) -> Self {
-        self.backoff = base;
-        self.backoff_cap = cap;
-        self
-    }
-
     /// Journals each completion so an interrupted sweep can resume.
     /// With a cache mounted the cache store's write-ahead log is the
     /// journal; without one, completions go to a store of their own at
@@ -258,25 +237,24 @@ impl Harness {
     }
 
     /// Applies the shared CLI flags (`--jobs`, `--no-cache`,
-    /// `--timeout-secs`, `--retries`, `--resume`) on top of the current
-    /// configuration. `default_cache_dir` is used unless `--no-cache`
-    /// was given.
+    /// `--timeout-secs`, `--resume`, `--strict-resume`) on top of the
+    /// current configuration. `default_cache_dir` is used unless
+    /// `--no-cache` was given.
     pub fn apply_cli(mut self, args: &CliArgs, default_cache_dir: impl Into<PathBuf>) -> Self {
         self.jobs = args.jobs.max(1);
         self.timeout = args.timeout;
-        self.retries = args.retries;
         self.resume = args.resume;
         self.strict_resume = args.strict_resume;
         self.cache_dir = (!args.no_cache).then(|| default_cache_dir.into());
         self
     }
 
-    /// Runs the graph to completion (or to a drained cancellation).
+    /// Runs every job to completion (or to a drained cancellation).
     ///
     /// Every harness-side failure degrades rather than kills the
     /// sweep: an unusable cache runs uncached, an unusable journal
     /// runs unjournaled, an unreadable resume journal resumes nothing.
-    pub fn run(&self, graph: &JobGraph) -> Sweep {
+    pub fn run(&self, jobs: &[Job]) -> Sweep {
         if self.handle_sigint {
             cancel::install_sigint_handler();
         }
@@ -335,9 +313,9 @@ impl Harness {
             }
         });
         let mut progress = if self.narrate {
-            Progress::stderr(graph.len())
+            Progress::stderr(jobs.len())
         } else {
-            Progress::silent(graph.len())
+            Progress::silent(jobs.len())
         };
         if let Some(path) = &self.progress_file {
             match progress.with_file(path) {
@@ -348,9 +326,9 @@ impl Harness {
                         path.display()
                     );
                     progress = if self.narrate {
-                        Progress::stderr(graph.len())
+                        Progress::stderr(jobs.len())
                     } else {
-                        Progress::silent(graph.len())
+                        Progress::silent(jobs.len())
                     };
                 }
             }
@@ -361,9 +339,6 @@ impl Harness {
         let opts = ExecOptions {
             jobs: self.jobs,
             timeout: self.timeout,
-            retries: self.retries,
-            backoff: self.backoff,
-            backoff_cap: self.backoff_cap,
             strict_resume: self.strict_resume,
         };
         let ctx = ExecContext {
@@ -378,9 +353,9 @@ impl Harness {
             },
         };
         let start = Instant::now();
-        let result = executor::execute(graph, &ctx, &opts, &progress);
+        let result = executor::execute(jobs, &ctx, &opts, &progress);
         let summary = SweepSummary::new(
-            graph,
+            jobs,
             &result.outcomes,
             start.elapsed(),
             result.leaked_threads,
@@ -410,16 +385,16 @@ mod tests {
         Value::Object(vec![("cell".into(), Value::U64(n))])
     }
 
-    fn cell_graph() -> JobGraph {
-        let mut g = JobGraph::new();
-        for i in 0..6u64 {
-            let key = Value::Object(vec![
-                ("cell".to_string(), Value::U64(i)),
-                ("model".to_string(), Value::Str("v1".into())),
-            ]);
-            g.push(Job::new(format!("cell-{i}"), move || Value::U64(i + 100)).with_cache_key(key));
-        }
-        g
+    fn cell_graph() -> Vec<Job> {
+        (0..6u64)
+            .map(|i| {
+                let key = Value::Object(vec![
+                    ("cell".to_string(), Value::U64(i)),
+                    ("model".to_string(), Value::Str("v1".into())),
+                ]);
+                Job::new(format!("cell-{i}"), move || Value::U64(i + 100)).with_cache_key(key)
+            })
+            .collect()
     }
 
     #[test]
@@ -456,17 +431,18 @@ mod tests {
 
     #[test]
     fn apply_cli_respects_no_cache() {
-        let args = CliArgs::parse([
-            "--no-cache".to_string(),
-            "--jobs".to_string(),
-            "2".to_string(),
-        ])
+        let args = CliArgs::parse(
+            ["--no-cache", "--jobs", "2"].map(String::from),
+            cli::ALL_FLAGS,
+        )
         .unwrap();
         let h = Harness::new().apply_cli(&args, "unused-cache-dir");
         assert_eq!(h.jobs, 2);
         assert!(h.cache_dir.is_none());
-        let with_cache =
-            Harness::new().apply_cli(&CliArgs::parse(Vec::<String>::new()).unwrap(), "some-dir");
+        let with_cache = Harness::new().apply_cli(
+            &CliArgs::parse(Vec::<String>::new(), cli::ALL_FLAGS).unwrap(),
+            "some-dir",
+        );
         assert_eq!(
             with_cache.cache_dir.as_deref(),
             Some(std::path::Path::new("some-dir"))
@@ -515,9 +491,9 @@ mod tests {
         let dir = scratch("truncate");
         let journal = dir.join("journal");
         Harness::new().journal_dir(&journal).run(&cell_graph());
-        let mut g = JobGraph::new();
-        g.push(Job::new("only", || Value::U64(1)));
-        Harness::new().journal_dir(&journal).run(&g);
+        Harness::new()
+            .journal_dir(&journal)
+            .run(&[Job::new("only", || Value::U64(1))]);
         let state = open_store(&journal).unwrap().resume_state().unwrap();
         assert_eq!(state.values.len(), 1);
         assert_eq!(state.values.get("id:only"), Some(&Value::U64(1)));
@@ -532,23 +508,21 @@ mod tests {
         let cache_dir = dir.join("cache");
         let journal = dir.join("journal");
         let runs = Arc::new(AtomicU32::new(0));
-        let counted_graph = |runs: &Arc<AtomicU32>| -> JobGraph {
-            let mut g = JobGraph::new();
-            for i in 0..6u64 {
-                let key = Value::Object(vec![
-                    ("cell".to_string(), Value::U64(i)),
-                    ("model".to_string(), Value::Str("v1".into())),
-                ]);
-                let r = Arc::clone(runs);
-                g.push(
+        let counted_graph = |runs: &Arc<AtomicU32>| -> Vec<Job> {
+            (0..6u64)
+                .map(|i| {
+                    let key = Value::Object(vec![
+                        ("cell".to_string(), Value::U64(i)),
+                        ("model".to_string(), Value::Str("v1".into())),
+                    ]);
+                    let r = Arc::clone(runs);
                     Job::new(format!("cell-{i}"), move || {
                         r.fetch_add(1, Ordering::SeqCst);
                         Value::U64(i + 100)
                     })
-                    .with_cache_key(key),
-                );
-            }
-            g
+                    .with_cache_key(key)
+                })
+                .collect()
         };
         let first = Harness::new()
             .jobs(2)
@@ -676,34 +650,11 @@ mod tests {
     }
 
     #[test]
-    fn builder_retries_recover_a_flaky_cell() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        use std::sync::Arc;
-        let flakes = Arc::new(AtomicU32::new(0));
-        let f = Arc::clone(&flakes);
-        let mut g = JobGraph::new();
-        g.push(Job::new("flaky", move || {
-            if f.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("first attempt flakes");
-            }
-            Value::U64(7)
-        }));
-        let sweep = Harness::new()
-            .retries(2)
-            .backoff(Duration::from_millis(1), Duration::from_millis(10))
-            .run(&g);
-        assert!(sweep.summary.all_done());
-        assert_eq!(sweep.summary.retried, vec!["flaky".to_string()]);
-        assert!(sweep.outcomes[0].was_retried());
-    }
-
-    #[test]
     fn doc_example_shape() {
-        let mut graph = JobGraph::new();
-        for i in 0..4u64 {
-            graph.push(Job::new(format!("cell-{i}"), move || Value::U64(i * i)));
-        }
-        let sweep = Harness::new().jobs(2).run(&graph);
+        let jobs: Vec<Job> = (0..4u64)
+            .map(|i| Job::new(format!("cell-{i}"), move || Value::U64(i * i)))
+            .collect();
+        let sweep = Harness::new().jobs(2).run(&jobs);
         assert!(sweep.summary.all_done());
         assert_eq!(sweep.outcomes[3].value(), Some(&Value::U64(9)));
     }

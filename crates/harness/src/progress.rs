@@ -8,28 +8,21 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::error::lock_unpoisoned;
-use crate::job::{JobGraph, Outcome};
+use crate::job::{Job, Outcome};
 
 /// One per-job completion, as delivered to a progress observer — the
-/// hook the sweep server streams to its clients. Carries everything
-/// the human-readable line is rendered from, in structured form.
-#[derive(Debug, Clone)]
-pub struct ProgressEvent {
+/// hook the sweep server streams to its clients.
+#[derive(Debug, Clone, Copy)]
+pub struct ProgressEvent<'a> {
     /// 1-based completion sequence number (completion order, not
     /// insertion order).
     pub seq: usize,
     /// Jobs in the sweep.
     pub total: usize,
     /// The job's id.
-    pub id: String,
-    /// The outcome's one-word label (`done`, `cached`, `FAILED`, …).
-    pub label: &'static str,
-    /// Whether the value came from the cache or resume journal.
-    pub cached: bool,
-    /// Wall-clock the job took (zero-ish for cached jobs).
-    pub duration: Duration,
-    /// The failure message, for `FAILED` outcomes.
-    pub error: Option<String>,
+    pub id: &'a str,
+    /// How the job ended, value included.
+    pub outcome: &'a Outcome,
     /// Completions per second over the sweep so far.
     pub cells_per_sec: f64,
     /// Projected time to finish the remaining jobs at the current
@@ -38,7 +31,7 @@ pub struct ProgressEvent {
 }
 
 /// Callback invoked on every job completion, from worker threads.
-pub type ProgressObserver = Arc<dyn Fn(&ProgressEvent) + Send + Sync>;
+pub type ProgressObserver = Arc<dyn Fn(&ProgressEvent<'_>) + Send + Sync>;
 
 /// Where per-job completion lines go. Thread-safe; shared by all
 /// workers.
@@ -106,23 +99,11 @@ impl Progress {
         let n = self.finished.fetch_add(1, Ordering::Relaxed) + 1;
         let (cells_per_sec, eta) = self.throughput(n);
         if let Some(observer) = &self.observer {
-            let (cached, duration) = match outcome {
-                Outcome::Done {
-                    cached, duration, ..
-                } => (*cached, *duration),
-                _ => (false, Duration::ZERO),
-            };
             observer(&ProgressEvent {
                 seq: n,
                 total: self.total,
-                id: id.to_string(),
-                label: outcome.label(),
-                cached,
-                duration,
-                error: match outcome {
-                    Outcome::Failed { error, .. } => Some(error.clone()),
-                    _ => None,
-                },
+                id,
+                outcome,
                 cells_per_sec,
                 eta,
             });
@@ -130,13 +111,6 @@ impl Progress {
         if !self.to_stderr && self.file.is_none() {
             return;
         }
-        let retry_note = |retries: &[crate::job::Attempt]| -> String {
-            match retries.len() {
-                0 => String::new(),
-                1 => " (after 1 retry)".to_string(),
-                n => format!(" (after {n} retries)"),
-            }
-        };
         // The pace suffix turns a silent multi-minute sweep into a
         // live dashboard line: how fast cells land, when it will end.
         let pace = match eta {
@@ -145,37 +119,22 @@ impl Progress {
         };
         let line = match outcome {
             Outcome::Done {
-                duration,
-                cached,
-                retries,
-                ..
+                duration, cached, ..
             } => format!(
-                "[{n}/{}] {id} {} ({}){}{pace}",
+                "[{n}/{}] {id} {} ({}){pace}",
                 self.total,
                 if *cached { "cached" } else { "done" },
                 fmt_duration(*duration),
-                retry_note(retries),
             ),
-            Outcome::Failed { error, retries } => {
+            Outcome::Failed { error } => {
                 let first = error.lines().next().unwrap_or("");
-                format!(
-                    "[{n}/{}] {id} FAILED: {first}{}",
-                    self.total,
-                    retry_note(retries)
-                )
+                format!("[{n}/{}] {id} FAILED: {first}", self.total)
             }
-            Outcome::TimedOut { limit, retries } => {
+            Outcome::TimedOut { limit } => {
                 format!(
-                    "[{n}/{}] {id} TIMED-OUT after {}{}",
+                    "[{n}/{}] {id} TIMED-OUT after {}",
                     self.total,
-                    fmt_duration(*limit),
-                    retry_note(retries),
-                )
-            }
-            Outcome::Skipped { failed_dep } => {
-                format!(
-                    "[{n}/{}] {id} skipped (dependency '{failed_dep}' failed)",
-                    self.total
+                    fmt_duration(*limit)
                 )
             }
             Outcome::Cancelled => {
@@ -200,7 +159,7 @@ impl Progress {
 /// Everything worth saying after a sweep.
 #[derive(Debug, Clone)]
 pub struct SweepSummary {
-    /// Jobs in the graph.
+    /// Jobs in the sweep.
     pub total: usize,
     /// Jobs that completed (fresh or cached).
     pub done: usize,
@@ -210,10 +169,6 @@ pub struct SweepSummary {
     pub failed: Vec<(String, String)>,
     /// Ids of jobs that exceeded the wall-clock budget.
     pub timed_out: Vec<String>,
-    /// Ids of jobs skipped because a dependency did not complete.
-    pub skipped: Vec<String>,
-    /// Ids of jobs that completed only after at least one retry.
-    pub retried: Vec<String>,
     /// Ids of jobs never started because the sweep was interrupted.
     pub cancelled: Vec<String>,
     /// Timed-out cell threads still running when the sweep ended.
@@ -232,21 +187,14 @@ impl SweepSummary {
     /// Folds per-job outcomes into a summary. `leaked_threads` comes
     /// from the executor's end-of-sweep accounting of abandoned
     /// (timed-out) cell threads.
-    pub fn new(
-        graph: &JobGraph,
-        outcomes: &[Outcome],
-        wall: Duration,
-        leaked_threads: usize,
-    ) -> Self {
-        assert_eq!(graph.len(), outcomes.len());
+    pub fn new(jobs: &[Job], outcomes: &[Outcome], wall: Duration, leaked_threads: usize) -> Self {
+        assert_eq!(jobs.len(), outcomes.len());
         let mut s = SweepSummary {
             total: outcomes.len(),
             done: 0,
             cached: 0,
             failed: Vec::new(),
             timed_out: Vec::new(),
-            skipped: Vec::new(),
-            retried: Vec::new(),
             cancelled: Vec::new(),
             leaked_threads,
             wall,
@@ -254,10 +202,7 @@ impl SweepSummary {
             slowest: Vec::new(),
         };
         let mut durations: Vec<(String, Duration)> = Vec::new();
-        for (job, outcome) in graph.jobs().iter().zip(outcomes) {
-            if outcome.was_retried() {
-                s.retried.push(job.id.clone());
-            }
+        for (job, outcome) in jobs.iter().zip(outcomes) {
             match outcome {
                 Outcome::Done {
                     duration, cached, ..
@@ -272,7 +217,6 @@ impl SweepSummary {
                 }
                 Outcome::Failed { error, .. } => s.failed.push((job.id.clone(), error.clone())),
                 Outcome::TimedOut { .. } => s.timed_out.push(job.id.clone()),
-                Outcome::Skipped { .. } => s.skipped.push(job.id.clone()),
                 Outcome::Cancelled => s.cancelled.push(job.id.clone()),
             }
         }
@@ -309,9 +253,6 @@ impl SweepSummary {
                 self.cell_time.as_secs_f64() / self.wall.as_secs_f64().max(1e-9),
             ));
         }
-        if !self.retried.is_empty() {
-            out.push_str(&format!(" — {} cell(s) retried", self.retried.len()));
-        }
         out.push('\n');
         if self.leaked_threads > 0 {
             out.push_str(&format!(
@@ -333,9 +274,6 @@ impl SweepSummary {
         }
         for id in &self.timed_out {
             out.push_str(&format!("TIMED-OUT {id}\n"));
-        }
-        for id in &self.skipped {
-            out.push_str(&format!("skipped   {id} (failed dependency)\n"));
         }
         if !self.cancelled.is_empty() {
             out.push_str(&format!(
@@ -368,67 +306,50 @@ fn fmt_duration(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::Job;
     use serde_json::Value;
 
-    fn graph(ids: &[&str]) -> JobGraph {
-        let mut g = JobGraph::new();
-        for &id in ids {
-            g.push(Job::new(id, || Value::Null));
-        }
-        g
+    fn jobs(ids: &[&str]) -> Vec<Job> {
+        ids.iter().map(|&id| Job::new(id, || Value::Null)).collect()
     }
 
     #[test]
     fn summary_counts_every_outcome_kind() {
-        let g = graph(&["a", "b", "c", "d", "e", "f"]);
+        let g = jobs(&["a", "b", "c", "d", "e"]);
         let outcomes = vec![
             Outcome::Done {
                 value: Value::Null,
                 duration: Duration::from_secs(2),
                 cached: false,
-                retries: vec![crate::job::Attempt {
-                    error: "transient".into(),
-                    backoff: Duration::from_millis(100),
-                }],
             },
             Outcome::Done {
                 value: Value::Null,
                 duration: Duration::from_millis(1),
                 cached: true,
-                retries: Vec::new(),
             },
             Outcome::Failed {
                 error: "boom\nbacktrace".into(),
-                retries: Vec::new(),
             },
             Outcome::TimedOut {
                 limit: Duration::from_secs(1),
-                retries: Vec::new(),
-            },
-            Outcome::Skipped {
-                failed_dep: "c".into(),
             },
             Outcome::Cancelled,
         ];
         let s = SweepSummary::new(&g, &outcomes, Duration::from_secs(3), 1);
-        assert_eq!((s.total, s.done, s.cached), (6, 2, 1));
+        assert_eq!((s.total, s.done, s.cached), (5, 2, 1));
         assert_eq!(
             s.failed,
             vec![("c".to_string(), "boom\nbacktrace".to_string())]
         );
         assert_eq!(s.timed_out, vec!["d".to_string()]);
-        assert_eq!(s.skipped, vec!["e".to_string()]);
-        assert_eq!(s.retried, vec!["a".to_string()]);
-        assert_eq!(s.cancelled, vec!["f".to_string()]);
+        assert_eq!(s.cancelled, vec!["e".to_string()]);
         assert_eq!(s.leaked_threads, 1);
         assert_eq!(s.cell_time, Duration::from_secs(2));
         assert!(!s.all_done());
         assert!(s.was_interrupted());
         let text = s.render();
-        assert!(text.contains("2/6"));
+        assert!(text.contains("2/5"));
         assert!(text.contains("FAILED    c: boom"));
-        assert!(text.contains("1 cell(s) retried"));
+        assert!(text.contains("TIMED-OUT d"));
         assert!(text.contains("leaked threads: 1"));
         assert!(text.contains("cancelled 1 cell(s)"));
         assert!(
@@ -439,12 +360,11 @@ mod tests {
 
     #[test]
     fn fully_cached_detection() {
-        let g = graph(&["a"]);
+        let g = jobs(&["a"]);
         let outcomes = vec![Outcome::Done {
             value: Value::Null,
             duration: Duration::ZERO,
             cached: true,
-            retries: Vec::new(),
         }];
         let s = SweepSummary::new(&g, &outcomes, Duration::from_millis(1), 0);
         assert!(s.fully_cached());
@@ -453,13 +373,12 @@ mod tests {
 
     #[test]
     fn slowest_is_sorted_and_capped() {
-        let g = graph(&["a", "b", "c", "d", "e", "f", "g"]);
+        let g = jobs(&["a", "b", "c", "d", "e", "f", "g"]);
         let outcomes: Vec<Outcome> = (0..7)
             .map(|i| Outcome::Done {
                 value: Value::Null,
                 duration: Duration::from_millis(100 - i),
                 cached: false,
-                retries: Vec::new(),
             })
             .collect();
         let s = SweepSummary::new(&g, &outcomes, Duration::from_secs(1), 0);
@@ -479,23 +398,36 @@ mod tests {
                 value: Value::Null,
                 duration: Duration::ZERO,
                 cached: false,
-                retries: vec![crate::job::Attempt {
-                    error: "flake".into(),
-                    backoff: Duration::from_millis(1),
-                }],
             },
         );
         p.job_finished(
             "cell-b",
             &Outcome::Failed {
                 error: "why".into(),
-                retries: Vec::new(),
             },
         );
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("[1/2] cell-a done"));
-        assert!(text.contains("(after 1 retry)"));
         assert!(text.contains("[2/2] cell-b FAILED: why"));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn observer_sees_the_outcome_itself() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let p = Progress::silent(1).with_observer(Arc::new(move |e: &ProgressEvent<'_>| {
+            lock_unpoisoned(&sink, "seen").push((e.seq, e.id.to_string(), e.outcome.clone()));
+        }));
+        let outcome = Outcome::Done {
+            value: Value::U64(7),
+            duration: Duration::ZERO,
+            cached: true,
+        };
+        p.job_finished("cell-a", &outcome);
+        assert_eq!(
+            *lock_unpoisoned(&seen, "seen"),
+            vec![(1, "cell-a".to_string(), outcome)]
+        );
     }
 }

@@ -75,16 +75,15 @@ pub fn exit_sweep(summary: &SweepSummary) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{Job, JobGraph, Outcome};
+    use crate::job::{Job, Outcome};
     use serde_json::Value;
     use std::time::Duration;
 
     fn summary_of(outcomes: Vec<Outcome>) -> SweepSummary {
-        let mut g = JobGraph::new();
-        for i in 0..outcomes.len() {
-            g.push(Job::new(format!("job-{i}"), || Value::Null));
-        }
-        SweepSummary::new(&g, &outcomes, Duration::from_millis(1), 0)
+        let jobs: Vec<Job> = (0..outcomes.len())
+            .map(|i| Job::new(format!("job-{i}"), || Value::Null))
+            .collect();
+        SweepSummary::new(&jobs, &outcomes, Duration::from_millis(1), 0)
     }
 
     fn done() -> Outcome {
@@ -92,7 +91,6 @@ mod tests {
             value: Value::Null,
             duration: Duration::ZERO,
             cached: false,
-            retries: Vec::new(),
         }
     }
 
@@ -107,7 +105,6 @@ mod tests {
             done(),
             Outcome::Failed {
                 error: "boom".into(),
-                retries: Vec::new(),
             },
         ]);
         assert_eq!(sweep_exit_code(&s), 1);
@@ -121,7 +118,7 @@ mod tests {
 
     #[test]
     fn standard_harness_honours_no_cache() {
-        let args = CliArgs::parse(["--no-cache".to_string()]).unwrap();
+        let args = CliArgs::parse(["--no-cache".to_string()], crate::cli::ALL_FLAGS).unwrap();
         let h = standard_harness(&args);
         let text = format!("{h:?}");
         assert!(text.contains("cache_dir: None"));

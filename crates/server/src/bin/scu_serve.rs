@@ -6,10 +6,12 @@
 //!
 //! Binds `HOST:N` (default `127.0.0.1:7878`; port 0 asks the OS for an
 //! ephemeral port) and prints the resolved address on stdout so
-//! scripts can scrape it. The shared harness flags (`--jobs`,
-//! `--no-cache`, `--retries`) configure the batch
-//! harness; `SCU_SCALE`/`SCU_SEED` configure the served matrix exactly
-//! like the CLI sweeps.
+//! scripts can scrape it. Of the shared harness flags the daemon reads
+//! `--jobs`, `--no-cache` and `--no-graph-artifacts`, which configure
+//! the batch harness; any other harness flag (`--filter`,
+//! `--timeout-secs`, `--resume`, `--trace`, …) is rejected with exit 2
+//! before binding, like any unknown argument. `SCU_SCALE`/`SCU_SEED`
+//! configure the served matrix exactly like the CLI sweeps.
 //!
 //! Hardening knobs: `--max-pending N` caps queued cells (excess sweeps
 //! get `429 Retry-After`), `--max-conns N` caps connections waiting
@@ -34,11 +36,16 @@ const USAGE: &str = "scu_serve options:\n  \
     --max-conns N     cap on connections waiting for a handler (shed with 503)\n  \
     --max-retained N  cap on finished sweeps kept queryable in memory\n  \
     --request-deadline SECS\n                    \
-    wall-clock budget for reading one request (slowloris cutoff)\n\
-plus the shared harness flags (--jobs, --no-cache, --retries)";
+    wall-clock budget for reading one request (slowloris cutoff)\n  \
+    --jobs N          worker threads per batch (default: available cores)\n  \
+    --no-cache        serve and compute without the result cache\n  \
+    --no-graph-artifacts  rebuild graphs in memory instead of serving mmap'd artifacts";
+
+/// The shared harness flags the daemon reads.
+const HARNESS_FLAGS: &[&str] = &["--jobs", "--no-cache", "--no-graph-artifacts"];
 
 fn main() {
-    let args = CliArgs::from_env();
+    let args = CliArgs::from_env(HARNESS_FLAGS);
     let mut addr = "127.0.0.1".to_string();
     let mut port = 7878u16;
     let mut scheduler_cfg = SchedulerConfig::from_cli(&args);
@@ -89,7 +96,7 @@ fn main() {
                 server_cfg.request_deadline = std::time::Duration::from_secs_f64(secs);
             }
             "--help" | "-h" => {
-                println!("{USAGE}\n{}", scu_harness::cli::USAGE);
+                println!("{USAGE}");
                 return;
             }
             other => {

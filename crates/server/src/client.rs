@@ -7,17 +7,17 @@
 //! tests both watch sweeps live through it.
 //!
 //! Transient failures — connection/socket errors, `429`, and
-//! "overloaded" `503`s — are retried with the harness's
-//! capped-exponential-backoff policy ([`scu_harness::capped_backoff`],
-//! default 2 retries, 100 ms base, 2 s cap). Non-transient errors
-//! (4xx rejections, "shutting down" 503s) surface immediately, and an
-//! event stream never retries once events have started flowing.
+//! "overloaded" `503`s — are retried with capped exponential backoff
+//! (default 2 retries, 100 ms base, 2 s cap): a dropped connection or
+//! a shed request is not deterministic, so a retry can succeed where
+//! the first attempt failed. Non-transient errors (4xx rejections,
+//! "shutting down" 503s) surface immediately, and an event stream
+//! never retries once events have started flowing.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use scu_harness::capped_backoff;
 use serde_json::Value;
 
 /// Client-side failures, with the HTTP error body when there was one.
@@ -56,6 +56,13 @@ pub struct Client {
     backoff_cap: Duration,
 }
 
+/// The retry pacing: `base · 2^prior`, saturating, never above `cap`.
+/// `prior` is how many attempts have already failed (0 for the first
+/// retry).
+fn capped_backoff(base: Duration, cap: Duration, prior_attempts: usize) -> Duration {
+    base.saturating_mul(1u32 << prior_attempts.min(16)).min(cap)
+}
+
 /// Whether an error is worth retrying: the server may come back
 /// (socket-level failure), asked us to retry (`429`), or shed us under
 /// load (`503` "overloaded"). A "shutting down" `503` and all 4xx
@@ -92,8 +99,7 @@ impl Client {
         self
     }
 
-    /// Base backoff (doubles per attempt) and its cap, mirroring the
-    /// harness executor's knobs.
+    /// Base backoff (doubles per attempt) and its cap.
     pub fn with_backoff(mut self, base: Duration, cap: Duration) -> Client {
         self.backoff = base;
         self.backoff_cap = cap;
@@ -218,8 +224,8 @@ impl Client {
         Ok(reader)
     }
 
-    /// Runs `attempt` up to `1 + retries` times, sleeping the shared
-    /// capped-exponential backoff between transient failures.
+    /// Runs `attempt` up to `1 + retries` times, sleeping the capped
+    /// exponential backoff between transient failures.
     fn retrying<T>(
         &self,
         mut attempt: impl FnMut() -> Result<T, ClientError>,
@@ -377,4 +383,21 @@ fn read_chunked_body(reader: &mut BufReader<TcpStream>) -> Result<String, Client
         );
     }
     Ok(body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn capped_backoff_doubles_then_saturates() {
+        let base = Duration::from_millis(100);
+        let cap = Duration::from_secs(2);
+        assert_eq!(capped_backoff(base, cap, 0), Duration::from_millis(100));
+        assert_eq!(capped_backoff(base, cap, 1), Duration::from_millis(200));
+        assert_eq!(capped_backoff(base, cap, 2), Duration::from_millis(400));
+        assert_eq!(capped_backoff(base, cap, 5), cap);
+        // The shift itself is clamped: absurd attempt counts stay at cap.
+        assert_eq!(capped_backoff(base, cap, 10_000), cap);
+    }
 }

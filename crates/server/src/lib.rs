@@ -12,16 +12,17 @@
 //!   the on-disk cache, **coalesces identical in-flight cells across
 //!   clients** (N clients with overlapping matrices compute each
 //!   unique cell exactly once), batches cold cells through one shared
-//!   [`scu_harness::Harness`] (inheriting retries, fault isolation
-//!   and journaling), and streams
-//!   per-cell completions to every waiting sweep.
+//!   [`scu_harness::Harness`] (inheriting its fault isolation and
+//!   journaling), and streams each cell's outcome to every waiting
+//!   sweep as the harness reports it.
 //! - [`server`] — a hand-rolled HTTP/1.1 front end over
 //!   [`std::net::TcpListener`] (the offline build has no hyper):
 //!   sweep submission, status, chunked event streams, cache reads,
 //!   metrics.
 //! - [`client`] — the blocking client the CLI passthrough
 //!   (`run_one --remote`) and the end-to-end tests use, with
-//!   capped-exponential-backoff retries on transient errors.
+//!   capped-exponential-backoff retries on transient network errors
+//!   (cells themselves run once: they are deterministic).
 //! - [`api`] / [`http`] — the JSON request surface and the protocol
 //!   plumbing.
 //!

@@ -13,13 +13,14 @@
 //!    (`coalesced`); only genuinely new cells are scheduled
 //!    (`scheduled`).
 //! 3. **Batched execution** — a single dispatcher thread drains the
-//!    pending set into one [`JobGraph`] and runs it through one shared
-//!    [`Harness`], inheriting its result cache, journal-backed resume,
-//!    retries and fault isolation.
+//!    pending set into one batch of jobs and runs it through one shared
+//!    [`Harness`], inheriting its result cache, journal-backed resume
+//!    and fault isolation.
 //!
 //! Completions stream to every waiting sweep through the harness's
-//! progress-observer hook; a panicking cell fails only the sweeps that
-//! asked for it. Shutdown — and a batch whose every waiter cancelled,
+//! progress-observer hook, which carries each cell's outcome, value
+//! included; a panicking cell fails only the sweeps that asked for it.
+//! Shutdown — and a batch whose every waiter cancelled,
 //! disconnected, or ran out of deadline — raises that batch's drain
 //! flag: in-flight cells finish and reach the journal, unstarted cells
 //! report `cancelled`, and a restarted daemon resumes warm from the
@@ -41,7 +42,7 @@ use std::time::{Duration, Instant};
 use scu_algos::cell::Cell;
 use scu_algos::experiment::{plan_cells, ExperimentConfig, ALL_MODES};
 use scu_harness::error::lock_unpoisoned;
-use scu_harness::{CliArgs, Harness, Job, JobGraph, Outcome, ProgressEvent, ResultStore};
+use scu_harness::{CliArgs, Harness, Job, Outcome, ProgressEvent, ResultStore};
 use serde_json::Value;
 
 /// Everything the scheduler needs to build its matrix and harness.
@@ -52,8 +53,6 @@ pub struct SchedulerConfig {
     pub experiment: ExperimentConfig,
     /// Worker threads per batch.
     pub jobs: usize,
-    /// Retries for failed cells.
-    pub retries: u32,
     /// On-disk result cache; `None` disables dedup-by-cache.
     pub cache_dir: Option<PathBuf>,
     /// Where completions are journaled when no cache is mounted (with
@@ -81,7 +80,6 @@ impl SchedulerConfig {
         SchedulerConfig {
             experiment: ExperimentConfig::from_env(),
             jobs: args.jobs.max(1),
-            retries: args.retries,
             cache_dir: (!args.no_cache)
                 .then(|| PathBuf::from(scu_harness::session::DEFAULT_CACHE_DIR)),
             journal_dir: Some(PathBuf::from(scu_harness::session::DEFAULT_JOURNAL_DIR)),
@@ -122,6 +120,23 @@ enum CellOutcome {
     Failed(String),
     /// Never ran: the scheduler shut down or the sweep was cancelled.
     Cancelled,
+}
+
+impl From<&Outcome> for CellOutcome {
+    fn from(outcome: &Outcome) -> Self {
+        match outcome {
+            Outcome::Done {
+                value,
+                duration,
+                cached,
+            } => CellOutcome::Done(value.clone(), *cached, duration.as_nanos() as u64),
+            Outcome::Failed { error } => CellOutcome::Failed(error.clone()),
+            Outcome::TimedOut { limit } => {
+                CellOutcome::Failed(format!("timed out after {limit:?}"))
+            }
+            Outcome::Cancelled => CellOutcome::Cancelled,
+        }
+    }
 }
 
 /// Throughput attached to live completion events.
@@ -411,7 +426,7 @@ pub struct Counters {
     pub scheduled: u64,
     /// Scheduled cells that completed.
     pub computed: u64,
-    /// Scheduled cells that failed (after retries).
+    /// Scheduled cells that failed or timed out.
     pub failed: u64,
     /// Cells cancelled before running.
     pub cancelled: u64,
@@ -427,13 +442,6 @@ pub struct Counters {
     pub deadline_expired: u64,
     /// Event streams whose client vanished mid-stream.
     pub disconnected_streams: u64,
-    /// Timed-out worker threads abandoned across all batches
-    /// (from [`scu_harness::SweepSummary::leaked_threads`]).
-    pub leaked_threads: u64,
-    /// Cells that needed at least one retry before resolving.
-    pub retried_cells: u64,
-    /// Total retry attempts across all cells and batches.
-    pub retry_attempts: u64,
 }
 
 struct Inner {
@@ -847,27 +855,14 @@ impl Scheduler {
     /// waiter gone): in-flight cells finish into the cache, unstarted
     /// ones report cancelled.
     fn run_batch(self: Arc<Self>, batch: &[String], batch_cancel: Arc<AtomicBool>) {
-        // Fresh values land here from the job closures, so the
-        // observer can deliver them to waiters the moment the harness
-        // reports the completion — mid-batch, not at batch end.
-        let slots: Arc<Mutex<HashMap<String, Value>>> = Arc::new(Mutex::new(HashMap::new()));
-        let mut graph = JobGraph::new();
-        for cell_id in batch {
-            let cell = self.catalog[cell_id].clone();
-            let key = cell.cache_key();
-            let slot = Arc::clone(&slots);
-            let id_for_slot = cell_id.clone();
-            graph.push(
-                Job::new(cell_id.clone(), move || {
-                    let value = cell.run_value();
-                    lock_unpoisoned(&slot, "cell result slot")
-                        .insert(id_for_slot.clone(), value.clone());
-                    value
-                })
-                .with_cache_key(key),
-            );
-        }
-        let observer_slots = Arc::clone(&slots);
+        let jobs: Vec<Job> = batch
+            .iter()
+            .map(|cell_id| {
+                let cell = self.catalog[cell_id].clone();
+                let key = cell.cache_key();
+                Job::new(cell_id.clone(), move || cell.run_value()).with_cache_key(key)
+            })
+            .collect();
         let scheduler = Arc::clone(&self);
         let started = Instant::now();
         // The batch's fresh compute time (as the sweep summary counts
@@ -876,13 +871,21 @@ impl Scheduler {
         let seen = AtomicUsize::new(0);
         let booked = Arc::new(AtomicBool::new(false));
         let observer_booked = Arc::clone(&booked);
-        let observer = std::sync::Arc::new(move |event: &ProgressEvent| {
+        // Every cell that runs reaches the observer, which delivers its
+        // outcome to the waiters the moment the harness reports it —
+        // mid-batch, not at batch end.
+        let observer = Arc::new(move |event: &ProgressEvent<'_>| {
             let pace = Pace {
                 cells_per_sec: event.cells_per_sec,
                 eta_ns: event.eta.map(|d| d.as_nanos() as u64),
             };
-            if !event.cached {
-                fresh_ns.fetch_add(event.duration.as_nanos() as u64, Ordering::SeqCst);
+            if let Outcome::Done {
+                duration,
+                cached: false,
+                ..
+            } = event.outcome
+            {
+                fresh_ns.fetch_add(duration.as_nanos() as u64, Ordering::SeqCst);
             }
             if seen.fetch_add(1, Ordering::SeqCst) + 1 == event.total {
                 // Every completion is counted: book the batch before
@@ -893,26 +896,10 @@ impl Scheduler {
                     started.elapsed(),
                 );
             }
-            if event.label == "FAILED" {
-                let error = event.error.clone().unwrap_or_else(|| "failed".to_string());
-                scheduler.resolve_cell(&event.id, CellOutcome::Failed(error), Some(pace));
-            } else if let Some(value) =
-                lock_unpoisoned(&observer_slots, "cell result slot").remove(&event.id)
-            {
-                let duration = event.duration.as_nanos() as u64;
-                scheduler.resolve_cell(
-                    &event.id,
-                    CellOutcome::Done(value, event.cached, duration),
-                    Some(pace),
-                );
-            }
-            // Other labels (cached/resumed from the journal, timed
-            // out, cancelled) carry no value here; the post-run pass
-            // resolves them from the outcome.
+            scheduler.resolve_cell(event.id, event.outcome.into(), Some(pace));
         });
         let mut harness = Harness::new()
             .jobs(self.cfg.jobs)
-            .retries(self.cfg.retries)
             .observer(observer)
             .cancel_flag(batch_cancel);
         match &self.cache {
@@ -933,7 +920,7 @@ impl Scheduler {
             // daemon restarts, so completed cells never recompute.
             harness = harness.journal_dir(dir.clone()).resume(true);
         }
-        let sweep = harness.run(&graph);
+        let sweep = harness.run(&jobs);
         // A drained batch never reports its last completion; book it
         // before the post-run pass resolves what is left.
         self.book_batch(
@@ -941,35 +928,12 @@ impl Scheduler {
             sweep.summary.cell_time.as_nanos() as u64,
             sweep.summary.wall,
         );
-        {
-            let mut inner = lock_unpoisoned(&self.inner, "scheduler");
-            inner.counters.leaked_threads += sweep.summary.leaked_threads as u64;
-            inner.counters.retried_cells += sweep.summary.retried.len() as u64;
-            inner.counters.retry_attempts += sweep
-                .outcomes
-                .iter()
-                .map(|o| o.retries().len() as u64)
-                .sum::<u64>();
-        }
+        // The observer resolved every cell that ran; the rest never
+        // started because the batch drained.
         for (cell_id, outcome) in batch.iter().zip(&sweep.outcomes) {
-            let resolved = match outcome {
-                Outcome::Done {
-                    value,
-                    cached,
-                    duration,
-                    ..
-                } => CellOutcome::Done(value.clone(), *cached, duration.as_nanos() as u64),
-                Outcome::Failed { error, .. } => CellOutcome::Failed(error.clone()),
-                Outcome::TimedOut { limit, .. } => {
-                    CellOutcome::Failed(format!("timed out after {limit:?}"))
-                }
-                Outcome::Skipped { failed_dep } => {
-                    CellOutcome::Failed(format!("dependency '{failed_dep}' failed"))
-                }
-                Outcome::Cancelled => CellOutcome::Cancelled,
-            };
-            // Usually a no-op: the observer already resolved it live.
-            self.resolve_cell(cell_id, resolved, None);
+            if matches!(outcome, Outcome::Cancelled) {
+                self.resolve_cell(cell_id, CellOutcome::Cancelled, None);
+            }
         }
     }
 
@@ -1119,9 +1083,6 @@ impl Scheduler {
                 "disconnected_streams".to_string(),
                 Value::U64(c.disconnected_streams),
             ),
-            ("leaked_threads".to_string(), Value::U64(c.leaked_threads)),
-            ("retried_cells".to_string(), Value::U64(c.retried_cells)),
-            ("retry_attempts".to_string(), Value::U64(c.retry_attempts)),
         ])
     }
 

@@ -45,7 +45,6 @@ fn config(dir: &Path) -> SchedulerConfig {
     SchedulerConfig {
         experiment: ExperimentConfig::tiny(),
         jobs: 1,
-        retries: 0,
         cache_dir: Some(dir.join("cache")),
         journal_dir: Some(dir.join("journal")),
         max_pending_cells: DEFAULT_MAX_PENDING_CELLS,

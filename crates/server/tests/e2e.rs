@@ -42,7 +42,6 @@ fn config(dir: &Path) -> SchedulerConfig {
     SchedulerConfig {
         experiment: ExperimentConfig::tiny(),
         jobs: 1,
-        retries: 0,
         cache_dir: Some(dir.join("cache")),
         journal_dir: Some(dir.join("journal")),
         max_pending_cells: scu_server::DEFAULT_MAX_PENDING_CELLS,
@@ -321,8 +320,8 @@ fn a_panicking_cell_poisons_only_the_sweeps_that_asked_for_it() {
     let cfg = scheduler.experiment().clone();
     let (x, y) = (bfs_cond_tx1(&cfg), bfs_kron_tx1(&cfg));
 
-    // Only the first simulated cell panics; retries are off in
-    // `config`, so the failure is permanent.
+    // Only the first simulated cell panics; a cell runs once, so the
+    // failure is final for this batch.
     let fp = failpoint::scoped("cell-run=panic(injected cell crash)@1");
     let a = scheduler.submit(vec![x.clone()], None).expect("submit a");
     a.wait_done();

@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use scu::bench::experiments::matrix::Matrix;
 use scu::bench::ExperimentConfig;
 use scu_algos::runner::Mode;
-use scu_harness::{cancel, failpoint, Harness, Job, JobGraph, Outcome, ResultStore};
+use scu_harness::{cancel, failpoint, Harness, Job, Outcome, ResultStore};
 use scu_store::record::{read_frame, JournalRecord, Record};
 use serde_json::Value;
 
@@ -57,53 +57,43 @@ fn matrix_fnvs(m: &Matrix) -> Vec<(String, u64)> {
 
 #[test]
 fn failpoints_drive_every_outcome_variant() {
-    let _fp = failpoint::scoped(
-        "it-fail=panic(injected hard fault);it-flaky=panic(injected flake)@1;it-slow=delay(400)",
-    );
-    let mut g = JobGraph::new();
-    g.push(Job::new("ok", || {
-        failpoint::apply("it-ok-unarmed");
-        Value::U64(1)
-    }));
-    let fail = g.push(Job::new("fail", || {
-        failpoint::apply("it-fail");
-        Value::U64(2)
-    }));
-    g.push(Job::new("flaky", || {
-        failpoint::apply("it-flaky");
-        Value::U64(3)
-    }));
-    g.push(Job::new("slow", || {
-        failpoint::apply("it-slow");
-        Value::U64(4)
-    }));
-    g.push(Job::new("dependent", move || Value::U64(5)).after(&[fail]));
+    let _fp = failpoint::scoped("it-fail=panic(injected hard fault);it-slow=delay(400)");
+    let fail_runs = Arc::new(AtomicU32::new(0));
+    let runs = Arc::clone(&fail_runs);
+    let jobs = vec![
+        Job::new("ok", || {
+            failpoint::apply("it-ok-unarmed");
+            Value::U64(1)
+        }),
+        Job::new("fail", move || {
+            runs.fetch_add(1, Ordering::SeqCst);
+            failpoint::apply("it-fail");
+            Value::U64(2)
+        }),
+        Job::new("slow", || {
+            failpoint::apply("it-slow");
+            Value::U64(3)
+        }),
+    ];
     let sweep = Harness::new()
         .jobs(2)
-        .retries(1)
-        .backoff(
-            std::time::Duration::from_millis(1),
-            std::time::Duration::from_millis(10),
-        )
         .timeout(std::time::Duration::from_millis(80))
-        .run(&g);
+        .run(&jobs);
 
-    assert!(sweep.outcomes[0].is_done() && !sweep.outcomes[0].was_retried());
-    // "fail" fires on every hit, so both attempts panic.
+    assert_eq!(sweep.outcomes[0].value(), Some(&Value::U64(1)));
     match &sweep.outcomes[1] {
-        Outcome::Failed { error, retries } => {
-            assert!(error.contains("injected hard fault"));
-            assert_eq!(retries.len(), 1, "the one allowed retry also failed");
-        }
+        Outcome::Failed { error } => assert!(error.contains("injected hard fault")),
         other => panic!("fail: unexpected outcome {other:?}"),
     }
-    // "flaky" fires on the first hit only: retried, then ok.
-    assert!(sweep.outcomes[2].was_retried());
-    assert_eq!(sweep.outcomes[2].value(), Some(&Value::U64(3)));
-    // "slow" sleeps 400 ms against an 80 ms budget on every attempt.
-    assert!(matches!(sweep.outcomes[3], Outcome::TimedOut { .. }));
-    assert!(matches!(sweep.outcomes[4], Outcome::Skipped { .. }));
-    assert_eq!(sweep.summary.retried, vec!["flaky".to_string()]);
+    assert_eq!(
+        fail_runs.load(Ordering::SeqCst),
+        1,
+        "a deterministic failure is not rerun"
+    );
+    // "slow" sleeps 400 ms against an 80 ms budget.
+    assert!(matches!(sweep.outcomes[2], Outcome::TimedOut { .. }));
+    assert_eq!(sweep.summary.done, 1);
+    assert_eq!(sweep.summary.failed.len(), 1);
     assert_eq!(sweep.summary.timed_out, vec!["slow".to_string()]);
 }
 
@@ -115,21 +105,19 @@ fn sigint_style_cancellation_drains_and_resume_finishes() {
 
     // First sweep: the third cell raises the cancel flag mid-run, as
     // the SIGINT handler would; with one worker the rest never start.
-    let build = |trigger: bool| {
-        let mut g = JobGraph::new();
-        for i in 0..6u64 {
-            let key = Value::Object(vec![("cancel-cell".into(), Value::U64(i))]);
-            g.push(
+    let build = |trigger: bool| -> Vec<Job> {
+        (0..6u64)
+            .map(|i| {
+                let key = Value::Object(vec![("cancel-cell".into(), Value::U64(i))]);
                 Job::new(format!("cell-{i}"), move || {
                     if trigger && i == 2 {
                         cancel::cancel();
                     }
                     Value::U64(i * i)
                 })
-                .with_cache_key(key),
-            );
-        }
-        g
+                .with_cache_key(key)
+            })
+            .collect()
     };
     let first = Harness::new()
         .jobs(1)
@@ -163,12 +151,7 @@ fn interrupted_matrix_resumes_to_byte_identical_results() {
     let cfg = tiny();
 
     // Reference: one clean uninterrupted sweep.
-    let (reference, s) = Matrix::collect_with(
-        &cfg,
-        &MODES,
-        &Harness::new().jobs(2).retries(0),
-        Some("BFS/"),
-    );
+    let (reference, s) = Matrix::collect_with(&cfg, &MODES, &Harness::new().jobs(2), Some("BFS/"));
     assert!(s.summary.all_done());
 
     // "Interrupted" sweep: every cell-run past the 4th panics, so the
@@ -178,7 +161,7 @@ fn interrupted_matrix_resumes_to_byte_identical_results() {
         let (_, broken) = Matrix::collect_with(
             &cfg,
             &MODES,
-            &Harness::new().jobs(1).retries(0).journal_dir(&journal),
+            &Harness::new().jobs(1).journal_dir(&journal),
             Some("BFS/"),
         );
         assert!(!broken.summary.all_done());
@@ -190,11 +173,7 @@ fn interrupted_matrix_resumes_to_byte_identical_results() {
     let (resumed, s2) = Matrix::collect_with(
         &cfg,
         &MODES,
-        &Harness::new()
-            .jobs(2)
-            .retries(0)
-            .journal_dir(&journal)
-            .resume(true),
+        &Harness::new().jobs(2).journal_dir(&journal).resume(true),
         Some("BFS/"),
     );
     assert!(s2.summary.all_done());
@@ -204,42 +183,21 @@ fn interrupted_matrix_resumes_to_byte_identical_results() {
 }
 
 #[test]
-fn flaky_cell_run_recovers_via_retry() {
-    let _guard = global_sites();
-    let _fp = failpoint::scoped("cell-run=panic(transient cell fault)@1");
-    let cfg = tiny();
-    let (m, sweep) = Matrix::collect_with(
-        &cfg,
-        &MODES,
-        &Harness::new().jobs(1).retries(2).backoff(
-            std::time::Duration::from_millis(1),
-            std::time::Duration::from_millis(10),
-        ),
-        Some("BFS/kron"),
-    );
-    assert!(sweep.summary.all_done(), "{}", sweep.summary.render());
-    assert_eq!(sweep.summary.retried.len(), 1, "first cell flaked once");
-    assert_eq!(m.entries().len(), 4);
-}
-
-#[test]
 fn corrupt_cache_blob_is_quarantined_and_recomputed() {
     let dir = scratch("quarantine");
     let key = |i: u64| Value::Object(vec![("q-cell".into(), Value::U64(i))]);
     let runs = Arc::new(AtomicU32::new(0));
-    let build = || {
-        let mut g = JobGraph::new();
-        for i in 0..6u64 {
-            let runs = Arc::clone(&runs);
-            g.push(
+    let build = || -> Vec<Job> {
+        (0..6u64)
+            .map(|i| {
+                let runs = Arc::clone(&runs);
                 Job::new(format!("q-{i}"), move || {
                     runs.fetch_add(1, Ordering::SeqCst);
                     Value::Object(vec![("metric".into(), Value::U64(i * 7))])
                 })
-                .with_cache_key(key(i)),
-            );
-        }
-        g
+                .with_cache_key(key(i))
+            })
+            .collect()
     };
     let values = |s: &scu_harness::Sweep| -> Vec<Value> {
         s.outcomes

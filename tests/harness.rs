@@ -3,12 +3,11 @@
 //! reproduction binaries rely on.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use scu::bench::experiments::matrix::Matrix;
 use scu::bench::ExperimentConfig;
 use scu_algos::runner::Mode;
-use scu_harness::{Harness, Job, JobGraph, Outcome};
+use scu_harness::{Harness, Job, Outcome};
 use serde_json::Value;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -63,15 +62,16 @@ fn parallel_sweep_is_byte_identical_to_sequential() {
 
 #[test]
 fn panicking_cell_fails_alone_and_the_sweep_completes() {
-    let mut graph = JobGraph::new();
-    for i in 0..8u64 {
-        if i == 3 {
-            graph.push(Job::new("cell-3", || panic!("injected cell fault")));
-        } else {
-            graph.push(Job::new(format!("cell-{i}"), move || Value::U64(i)));
-        }
-    }
-    let sweep = Harness::new().jobs(4).run(&graph);
+    let jobs: Vec<Job> = (0..8u64)
+        .map(|i| {
+            if i == 3 {
+                Job::new("cell-3", || panic!("injected cell fault"))
+            } else {
+                Job::new(format!("cell-{i}"), move || Value::U64(i))
+            }
+        })
+        .collect();
+    let sweep = Harness::new().jobs(4).run(&jobs);
     assert_eq!(sweep.summary.done, 7);
     assert_eq!(sweep.summary.failed.len(), 1);
     assert_eq!(sweep.summary.failed[0].0, "cell-3");
@@ -90,27 +90,6 @@ fn panicking_cell_fails_alone_and_the_sweep_completes() {
     let rendered = sweep.summary.render();
     assert!(rendered.contains("7/8"));
     assert!(rendered.contains("FAILED    cell-3"));
-}
-
-#[test]
-fn dependents_of_a_failed_cell_are_skipped_not_run() {
-    let mut graph = JobGraph::new();
-    let a = graph.push(Job::new("broken", || panic!("boom")));
-    let ran = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let flag = Arc::clone(&ran);
-    graph.push(
-        Job::new("dependent", move || {
-            flag.store(true, std::sync::atomic::Ordering::SeqCst);
-            Value::Null
-        })
-        .after(&[a]),
-    );
-    let sweep = Harness::new().jobs(2).run(&graph);
-    assert_eq!(sweep.summary.skipped, vec!["dependent".to_string()]);
-    assert!(
-        !ran.load(std::sync::atomic::Ordering::SeqCst),
-        "skipped cell must not execute"
-    );
 }
 
 #[test]
